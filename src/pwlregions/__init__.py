@@ -29,7 +29,6 @@ from .network import (
     pattern_at,
     pattern_code,
     pattern_matrix,
-    preactivations,
     rectifier_structure,
     save_network,
     structure_of,

@@ -7,6 +7,7 @@ for a fixed seed — which is itself one of the criteria.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +61,22 @@ class CriterionResult:
     detail: str
 
 
-def _cfg_for(con, workers: int) -> FeasibilityConfig:
-    if con.spec.count_box is not None:
-        return FeasibilityConfig(box=con.spec.count_box, workers=workers)
-    return FeasibilityConfig(workers=workers)
+def _cfg_for(con) -> FeasibilityConfig:
+    return FeasibilityConfig(box=con.spec.count_box)
 
 
-def c01_shallow_attainment(seed: int, workers: int) -> CriterionResult:
+def _arrangement_cfg(W, b) -> FeasibilityConfig:
+    """The default box, widened to twice the farthest vertex of the line
+    arrangement ``W x + b = 0``: the binomial count needs every vertex."""
+    far = 0.0
+    for r, s in itertools.combinations(range(len(b)), 2):
+        A = W[[r, s]]
+        if abs(np.linalg.det(A)) > 1e-12:
+            far = max(far, float(np.max(np.abs(np.linalg.solve(A, -b[[r, s]])))))
+    return FeasibilityConfig(box_halfwidth=max(1e3, 1.0 + 2.0 * far))
+
+
+def c01_shallow_attainment(seed: int) -> CriterionResult:
     hits = 0
     for i in range(20):
         n1 = (i % 8) + 1
@@ -74,15 +84,14 @@ def c01_shallow_attainment(seed: int, workers: int) -> CriterionResult:
         W = rng.normal(size=(n1, 2))
         b = rng.normal(size=n1)
         gp = check_general_position([(W[r], -b[r]) for r in range(n1)], 2)
-        count = count_regions(Network(2, (Layer(W, b, ACT_RECTIFIER),)),
-                              FeasibilityConfig(workers=workers))
+        count = count_regions(Network(2, (Layer(W, b, ACT_RECTIFIER),)), _arrangement_cfg(W, b))
         if gp and count == shallow_max_regions(2, n1):
             hits += 1
     return CriterionResult("c01", "shallow-attainment", hits == 20,
                            f"{hits}/20 nets in general position at the binomial-sum count")
 
 
-def c02_upper_bound(seed: int, workers: int) -> CriterionResult:
+def c02_upper_bound(seed: int) -> CriterionResult:
     violations = 0
     for i in range(50):
         rng = np.random.default_rng([seed, 2, i])
@@ -102,58 +111,58 @@ def c02_upper_bound(seed: int, workers: int) -> CriterionResult:
         for w in widths:
             layers.append(Layer(rng.normal(size=(w, fan)), rng.normal(size=w), ACT_RECTIFIER))
             fan = w
-        count = count_regions(Network(n0, tuple(layers)), FeasibilityConfig(workers=workers))
+        count = count_regions(Network(n0, tuple(layers)), FeasibilityConfig())
         if count > rectifier_upper_bound(rectifier_structure(n0, tuple(widths))):
             violations += 1
     return CriterionResult("c02", "upper-bound-2N", violations == 0,
                            f"{violations} violations over 50 random nets")
 
 
-def c03_folding_1d(seed: int, workers: int) -> CriterionResult:
+def c03_folding_1d(seed: int) -> CriterionResult:
     con = build_folding_rectifier_net(1, (2, 2), seed=seed)
     bound = deep_rectifier_lower(rectifier_structure(1, (2, 2)))
-    count = count_regions(con.network, _cfg_for(con, workers))
+    count = count_regions(con.network, _cfg_for(con))
     oracle = oracle_count_by_grid(con.network, con.spec.count_box, 2000)
     ok = count == 6 == bound and oracle == 6
     return CriterionResult("c03", "folding-1d-exact", ok,
                            f"count {count}, bound {bound}, grid oracle {oracle}")
 
 
-def c04_folding_2d(seed: int, workers: int) -> CriterionResult:
+def c04_folding_2d(seed: int) -> CriterionResult:
     con = build_folding_rectifier_net(2, (4, 4), seed=seed)
     bound = deep_rectifier_lower(rectifier_structure(2, (4, 4)))
-    count = count_regions(con.network, _cfg_for(con, workers))
+    count = count_regions(con.network, _cfg_for(con))
     ok = count >= bound and count == FOLDING_2D_REGRESSION
     return CriterionResult("c04", "folding-2d-regression", ok,
                            f"count {count}, bound {bound}, frozen {FOLDING_2D_REGRESSION}")
 
 
-def c05_folding_refined(seed: int, workers: int) -> CriterionResult:
+def c05_folding_refined(seed: int) -> CriterionResult:
     con = build_folding_rectifier_net(2, (5, 3), seed=seed)
     refined = deep_rectifier_lower_refined(rectifier_structure(2, (5, 3)))
     plain = deep_rectifier_lower(rectifier_structure(2, (5, 3)))
-    count = count_regions(con.network, _cfg_for(con, workers))
+    count = count_regions(con.network, _cfg_for(con))
     ok = count >= refined == 42 and count > plain == 28
     return CriterionResult("c05", "folding-remainder-refined", ok,
                            f"count {count} >= refined {refined} > plain {plain}")
 
 
-def c06_maxout_exact(seed: int, workers: int) -> CriterionResult:
+def c06_maxout_exact(seed: int) -> CriterionResult:
     checks = [
         (build_maxout_parallel(2, 2, 3), 9),
         (build_shi_layer(3), 16),
         (build_catalan_layer(3), 30),
         (build_shi_layer(2), 3),
     ]
-    got = [count_regions(c.network, FeasibilityConfig(workers=workers)) for c, _ in checks]
+    got = [count_regions(c.network, FeasibilityConfig()) for c, _ in checks]
     want = [w for _, w in checks]
     ok = got == want
     return CriterionResult("c06", "maxout-exact-counts", ok,
                            f"parallel/shi3/catalan3/shi2 = {got}, expected {want}")
 
 
-def c07_maxout_cones(seed: int, workers: int) -> CriterionResult:
-    cfg = FeasibilityConfig(workers=workers)
+def c07_maxout_cones(seed: int) -> CriterionResult:
+    cfg = FeasibilityConfig()
     cones2 = build_maxout_cones(2, 2, 2)
     count2 = count_regions(cones2.network, cfg)
     sim = build_rank2_maxout_as_rectifier(2, 2, seed=seed)
@@ -167,14 +176,14 @@ def c07_maxout_cones(seed: int, workers: int) -> CriterionResult:
                            f"k=2 count {count2} (sim {sim_count}), k=3 count {count3} >= 27")
 
 
-def c08_rank2_equivalence(seed: int, workers: int) -> CriterionResult:
+def c08_rank2_equivalence(seed: int) -> CriterionResult:
     pair = build_rank2_maxout_as_rectifier(2, 2, seed=seed, sample_count=1000)
     ok = pair.certificate <= 1e-9
     return CriterionResult("c08", "rank2-simulation-equivalence", ok,
                            f"max |difference| {pair.certificate:.3e} over 1000 points")
 
 
-def c09_unit_maps(seed: int, workers: int) -> CriterionResult:
+def c09_unit_maps(seed: int) -> CriterionResult:
     rng = np.random.default_rng([seed, 9])
     layers = []
     fan = 2
@@ -204,7 +213,7 @@ def c09_unit_maps(seed: int, workers: int) -> CriterionResult:
                            f"100 points, max grad err {worst_grad:.3e}, max value err {worst_val:.3e}")
 
 
-def c10_identification(seed: int, workers: int) -> CriterionResult:
+def c10_identification(seed: int) -> CriterionResult:
     ab = build_abs_net()
     quadrants = [((0.1, 0.9), (0.1, 0.9)), ((-0.9, -0.1), (0.1, 0.9)),
                  ((0.1, 0.9), (-0.9, -0.1)), ((-0.9, -0.1), (-0.9, -0.1))]
@@ -238,7 +247,7 @@ def _perturbed(net: Network, rng, eps: float = 1e-6) -> Network:
     return Network(net.input_dim, tuple(layers))
 
 
-def c11_perturbation_stability(seed: int, workers: int) -> CriterionResult:
+def c11_perturbation_stability(seed: int) -> CriterionResult:
     witnesses = [
         build_folding_rectifier_net(1, (2, 2), seed=seed),
         build_folding_rectifier_net(2, (4, 4), seed=seed),
@@ -251,7 +260,7 @@ def c11_perturbation_stability(seed: int, workers: int) -> CriterionResult:
     decreases = 0
     trials = 0
     for wi, con in enumerate(witnesses):
-        cfg = _cfg_for(con, workers)
+        cfg = _cfg_for(con)
         base = count_regions(con.network, cfg)
         for t in range(20):
             rng = np.random.default_rng([seed, 11, wi, t])
@@ -262,20 +271,13 @@ def c11_perturbation_stability(seed: int, workers: int) -> CriterionResult:
                            f"{decreases} count decreases over {trials} perturbed trials")
 
 
-def c12_determinism(seed: int, workers: int) -> CriterionResult:
+def c12_determinism(seed: int) -> CriterionResult:
     con = build_folding_rectifier_net(2, (4, 4), seed=seed)
-    box = con.spec.count_box
-    rs1 = enumerate_regions(con.network, FeasibilityConfig(box=box, workers=1))
-    rs4 = enumerate_regions(con.network, FeasibilityConfig(box=box, workers=max(4, workers)))
-    order_ok = [r.pattern for r in rs1.regions] == [r.pattern for r in rs4.regions]
-    report_a = render_region_report(rs1)
-    report_b = render_region_report(
-        enumerate_regions(con.network, FeasibilityConfig(box=box, workers=1)))
+    report_a, report_b = (render_region_report(enumerate_regions(con.network, _cfg_for(con)))
+                          for _ in range(2))
     bytes_ok = report_a == report_b
-    ok = order_ok and bytes_ok and rs1.count == rs4.count
-    return CriterionResult("c12", "determinism", ok,
-                           f"1 vs {max(4, workers)} workers: order identical {order_ok}, "
-                           f"re-render byte-identical {bytes_ok}")
+    return CriterionResult("c12", "determinism", bytes_ok,
+                           f"two enumerations: re-render byte-identical {bytes_ok}")
 
 
 ALL_CRITERIA = [
@@ -294,8 +296,8 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(seed: int = 0, workers: int = 1) -> list[CriterionResult]:
-    return [fn(seed, workers) for fn in ALL_CRITERIA]
+def run_all(seed: int = 0) -> list[CriterionResult]:
+    return [fn(seed) for fn in ALL_CRITERIA]
 
 
 def format_table(results) -> str:

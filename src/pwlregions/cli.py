@@ -51,8 +51,8 @@ from .linmap import IdentificationError, enumerate_unit_pieces, find_identified_
 from .network import (
     AffineMap,
     NetworkFormatError,
+    load_network,
     maxout_structure,
-    network_from_dict,
     network_to_dict,
     rectifier_structure,
 )
@@ -110,8 +110,6 @@ def _feasibility(args, n0: int) -> FeasibilityConfig:
     if getattr(args, "box", None):
         kind, value = _parse_box(args.box, n0)
         kw["box_halfwidth" if kind == "halfwidth" else "box"] = value
-    if getattr(args, "workers", None):
-        kw["workers"] = args.workers
     if getattr(args, "cap", None):
         kw["region_cap"] = args.cap
     if getattr(args, "exact_rational", False):
@@ -120,13 +118,7 @@ def _feasibility(args, n0: int) -> FeasibilityConfig:
 
 
 def _load_net(path: str):
-    if path == "-":
-        import json
-
-        return network_from_dict(json.load(sys.stdin))
-    from .network import load_network
-
-    return load_network(path)
+    return load_network(sys.stdin if path == "-" else path)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -284,7 +276,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    results = run_all(seed=args.seed, workers=args.workers)
+    results = run_all(seed=args.seed)
     _emit(format_table(results), args.output)
     return 0 if all(r.passed for r in results) else 1
 
@@ -299,8 +291,6 @@ def _add_output(p):
 def _add_enum_flags(p):
     p.add_argument("--box", metavar="SPEC",
                    help="halfwidth B for [-B,B]^n, or 'lo,hi;lo,hi' per input")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="subdivide cells across N threads (default 1)")
     p.add_argument("--cap", type=int, metavar="N",
                    help="abort once more than N regions are alive (exit 3)")
     p.add_argument("--exact-rational", action="store_true",
@@ -448,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run every acceptance criterion at the given seed and "
                     "print one PASS/FAIL line each; exits 0 only if all pass.")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     _add_output(p)
     p.set_defaults(func=cmd_verify_all)
 

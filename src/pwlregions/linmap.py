@@ -17,11 +17,10 @@ import numpy as np
 from .network import (
     AffineMap,
     Network,
+    _walk,
     forward,
-    layer_selection,
     pattern_affine,
     pattern_at,
-    preactivations,
 )
 
 
@@ -44,19 +43,46 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
     same matrix products the region enumerator uses, so the row agrees
     exactly with the corresponding row of Region.affine.
     """
-    if not 0 <= layer < net.depth:
-        raise IndexError(f"layer {layer} out of range")
-    if not 0 <= unit < net.layers[layer].width:
-        raise IndexError(f"unit {unit} out of range")
+    _check_unit(net, layer, unit)
     pattern = pattern_at(net, np.asarray(x, float))
-    full = pattern_affine(net, pattern, upto=layer + 1)
-    return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
+    return _tracked_map(net, unit, pattern[:layer + 1], None)
 
 
 def readout_linear_map(net: Network, readout: AffineMap, x) -> AffineMap:
     """Affine map of a linear readout of the final activations on x's region."""
     pattern = pattern_at(net, np.asarray(x, float))
     return readout.compose(pattern_affine(net, pattern))
+
+
+def _check_unit(net: Network, layer: int, unit: int) -> None:
+    if not 0 <= layer < net.depth:
+        raise IndexError(f"layer {layer} out of range")
+    if not 0 <= unit < net.layers[layer].width:
+        raise IndexError(f"unit {unit} out of range")
+
+
+def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
+    """The tracked value at x -- unit ``unit`` of ``layer``, or row ``unit``
+    of ``readout`` applied to the last layer -- and, unless that value is
+    <= 0 (then its map is never wanted and this is None), the prefix of
+    x's pattern that fixes the map (see ``_tracked_map``)."""
+    if readout is None:
+        _check_unit(net, layer, unit)
+    acts = forward(net, x)
+    value = float(acts[layer][unit] if readout is None else readout(acts[-1])[unit])
+    if value <= 0.0:
+        return value, None
+    pattern = pattern_at(net, x)
+    return value, pattern if readout is not None else pattern[:layer + 1]
+
+
+def _tracked_map(net: Network, unit: int, prefix, readout: AffineMap | None) -> AffineMap:
+    """Row ``unit`` of the map that a pattern prefix fixes, after
+    ``readout`` if one is given (the prefix is then a whole pattern)."""
+    full = pattern_affine(net, prefix, upto=len(prefix))
+    if readout is not None:
+        full = readout.compose(full)
+    return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
 
 
 def finite_difference_gradient(net: Network, layer: int, unit: int, x,
@@ -78,37 +104,21 @@ def boundary_clearance(net: Network, x) -> float:
     """Distance from x to the nearest activation boundary, measured with
     input-space unit normals.  Infinite when no unit ever switches."""
     x = np.asarray(x, float)
+    steps = list(_walk(net, x))
+    pattern = tuple(tuple(S.tolist()) for _, S, _ in steps)
     best = np.inf
-    A = np.eye(net.input_dim)
-    c = np.zeros(net.input_dim)
-    for layer in net.layers:
-        G = layer.weights @ A
-        D = layer.weights @ c + layer.bias
+    for i, (layer, (z, s, _)) in enumerate(zip(net.layers, steps)):
+        G = layer.weights @ pattern_affine(net, pattern, upto=i).matrix  # input-space rows
         k = layer.activation.rank
-        if k == 1:
-            for j in range(layer.width):
-                norm = float(np.linalg.norm(G[j]))
-                if norm > 1e-12:
-                    best = min(best, abs(float(G[j] @ x + D[j])) / norm)
-            states = tuple(int(v > 0) for v in (G @ x + D))
-        else:
-            states = []
-            for j in range(layer.width):
-                rows = slice(j * k, (j + 1) * k)
-                vals = G[rows] @ x + D[rows]
-                t = int(np.argmax(vals))
-                states.append(t)
-                for s in range(k):
-                    if s == t:
-                        continue
-                    diff = G[rows][t] - G[rows][s]
-                    norm = float(np.linalg.norm(diff))
-                    if norm > 1e-12:
-                        best = min(best, float(vals[t] - vals[s]) / norm)
-            states = tuple(states)
-        Weff, beff = layer_selection(layer, states)
-        A = Weff @ A
-        c = Weff @ c + beff
+        if k > 1:
+            # the selected branch against every branch of its unit
+            pick = np.arange(layer.width) * k + s
+            z = np.repeat(z[pick], k) - z
+            G = np.repeat(G[pick], k, axis=0) - G
+        norms = np.linalg.norm(G, axis=1)
+        keep = norms > 1e-12
+        if keep.any():
+            best = min(best, float(np.min(np.abs(z[keep]) / norms[keep])))
     return best
 
 
@@ -130,20 +140,15 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     coefficients so the result is independent of traversal order.
     """
     pieces: list[UnitPiece] = []
+    maps: dict[tuple, AffineMap] = {}
     for raw in samples:
         x = np.asarray(raw, float)
-        if readout is not None:
-            act = float(readout(forward(net, x)[-1])[unit])
-            if act <= 0.0:
-                continue
-            full = readout_linear_map(net, readout, x)
-            m = AffineMap(full.matrix[unit:unit + 1].copy(),
-                          full.offset[unit:unit + 1].copy())
-        else:
-            act = unit_activation(net, layer, unit, x)
-            if act <= 0.0:
-                continue
-            m = unit_linear_map(net, layer, unit, x)
+        act, prefix = _tracked(net, layer, unit, x, readout)
+        if act <= 0.0:
+            continue
+        if prefix not in maps:
+            maps[prefix] = _tracked_map(net, unit, prefix, readout)
+        m = maps[prefix]
         key = np.concatenate([m.matrix.ravel(), m.offset])
         found = False
         for p in pieces:
@@ -182,22 +187,11 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
 
-    def value(x):
-        if readout is not None:
-            return float(readout(forward(net, x)[-1])[unit])
-        return unit_activation(net, layer, unit, x)
-
-    def vmap(x):
-        if readout is not None:
-            full = readout_linear_map(net, readout, x)
-            return AffineMap(full.matrix[unit:unit + 1].copy(),
-                             full.offset[unit:unit + 1].copy())
-        return unit_linear_map(net, layer, unit, x)
-
-    a1, a2 = value(x1), value(x2)
+    a1, q1 = _tracked(net, layer, unit, x1, readout)
+    a2, q2 = _tracked(net, layer, unit, x2, readout)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("unit must be active (positive value) at both points")
-    m1, m2 = vmap(x1), vmap(x2)
+    m1, m2 = _tracked_map(net, unit, q1, readout), _tracked_map(net, unit, q2, readout)
     p1, p2 = pattern_at(net, x1), pattern_at(net, x2)
     if p1 == p2:
         return IdentifiedPair(x2.copy(), m1, m2, True)
@@ -211,8 +205,8 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
         raise IdentificationError(
             "no identified pair along this ray: the region boundary is crossed first"
         )
-    if abs(value(adjusted) - a1) > target_tol:
-        raise IdentificationError(
-            f"adjustment landed {abs(value(adjusted) - a1):.3e} from the target value"
-        )
-    return IdentifiedPair(adjusted, m1, vmap(adjusted), False)
+    miss = abs(_tracked(net, layer, unit, adjusted, readout)[0] - a1)
+    if miss > target_tol:
+        raise IdentificationError(f"adjustment landed {miss:.3e} from the target value")
+    # adjusted keeps x2's pattern, hence x2's map
+    return IdentifiedPair(adjusted, m1, m2, False)

@@ -180,71 +180,49 @@ def parameter_count(structure: NetworkStructure | Network) -> int:
 ActivationPattern = tuple  # tuple of per-layer tuples of ints
 
 
-def preactivations(net: Network, x: np.ndarray) -> list[np.ndarray]:
-    """Raw pre-activation vectors (rank*width per layer) along the stack."""
-    x = np.asarray(x, dtype=float)
-    pres = []
-    h = x
+def _walk(net: Network, X: np.ndarray, states: bool = True):
+    """Walk one point (n0,) or the rows of a batch (n, n0) through the stack.
+
+    Yields, per layer, the pre-activations (rank*width values), the states
+    (width ints; None unless ``states``) and the activations (width
+    values), each of shape (values,) for one point and (values, n) for a
+    batch, one column per point.  This is the one place that turns
+    pre-activations into states, by the tie rules in the module docstring.
+    A batch of many points goes through matrix-matrix products, whose
+    rounding can differ from one point's in the last bits; callers that
+    print per-point values walk point by point.
+    """
+    H = np.asarray(X, dtype=float).T
+    points = H.shape[1:]    # () for one point, (n,) for a batch
     for layer in net.layers:
-        z = layer.weights @ h + layer.bias
-        pres.append(z)
-        h = _apply_activation(layer, z)
-    return pres
-
-
-def _apply_activation(layer: Layer, z: np.ndarray) -> np.ndarray:
-    k = layer.activation.rank
-    if k == 1:
-        return np.maximum(z, 0.0)
-    return z.reshape(layer.width, k).max(axis=1)
+        Z = layer.weights @ H + (layer.bias[:, None] if points else layer.bias)
+        k = layer.activation.rank
+        S = None
+        if k == 1:
+            if states:
+                S = (Z > 0.0).view(np.int8)
+            H = np.maximum(Z, 0.0)
+        else:
+            ZZ = Z.reshape((layer.width, k) + points)
+            if states:
+                S = ZZ.argmax(axis=1).astype(np.int8)
+            H = ZZ.max(axis=1)
+        yield Z, S, H
 
 
 def forward(net: Network, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer activation vectors for input ``x``."""
-    x = np.asarray(x, dtype=float)
-    acts = []
-    h = x
-    for layer in net.layers:
-        z = layer.weights @ h + layer.bias
-        h = _apply_activation(layer, z)
-        acts.append(h)
-    return acts
+    return [H for _, _, H in _walk(net, x, states=False)]
 
 
 def pattern_at(net: Network, x: np.ndarray) -> ActivationPattern:
     """Activation pattern at ``x`` (rectifier bits / maxout branch indices)."""
-    x = np.asarray(x, dtype=float)
-    pattern = []
-    h = x
-    for layer in net.layers:
-        z = layer.weights @ h + layer.bias
-        k = layer.activation.rank
-        if k == 1:
-            bits = tuple(int(v > 0.0) for v in z)
-        else:
-            zz = z.reshape(layer.width, k)
-            bits = tuple(int(np.argmax(row)) for row in zz)
-        pattern.append(bits)
-        h = _apply_activation(layer, z)
-    return tuple(pattern)
+    return tuple(tuple(S.tolist()) for _, S, _ in _walk(net, x))
 
 
 def pattern_matrix(net: Network, X: np.ndarray) -> np.ndarray:
     """Vectorized ``pattern_at`` over rows of ``X``; one int per unit."""
-    X = np.asarray(X, dtype=float)
-    H = X.T  # (dim, npoints)
-    cols = []
-    for layer in net.layers:
-        Z = layer.weights @ H + layer.bias[:, None]
-        k = layer.activation.rank
-        if k == 1:
-            cols.append((Z > 0.0).astype(np.int8).T)
-            H = np.maximum(Z, 0.0)
-        else:
-            ZZ = Z.reshape(layer.width, k, -1)
-            cols.append(ZZ.argmax(axis=1).astype(np.int8).T)
-            H = ZZ.max(axis=1)
-    return np.hstack(cols)
+    return np.hstack([S.T for _, S, _ in _walk(net, X)])
 
 
 def pattern_code(pattern: ActivationPattern) -> str:

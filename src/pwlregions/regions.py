@@ -22,7 +22,6 @@ the box on which exactness holds.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .network import (
     AffineMap,
     Network,
     forward,
+    layer_selection,
     pattern_code,
     pattern_matrix,
 )
@@ -65,8 +65,6 @@ class FeasibilityConfig:
     region_cap     hard limit on live regions
     exact_rational re-check borderline feasibility outcomes (|t*| within
                    10x feas_tol) with exact rational elimination
-    workers        regions are subdivided in parallel when > 1; results
-                   are merged deterministically regardless
     """
 
     box_halfwidth: float = 1e3
@@ -74,7 +72,6 @@ class FeasibilityConfig:
     region_cap: int = 10**6
     exact_rational: bool = False
     box: Box | None = None
-    workers: int = 1
 
     def resolved_box(self, n0: int) -> Box:
         if self.box is not None:
@@ -246,21 +243,22 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
     return _feasible_child(normals, offsets, cfg)
 
 
-def _rectifier_children(cell: _Cell, g, d, cfg):
-    """Children of one rectifier unit on one cell."""
+def _rectifier_children(g, d):
+    """(state, new rows) of the children of one rectifier unit on one cell."""
     norm = float(np.linalg.norm(g))
     if norm < _ZERO_ROW * max(1.0, abs(d)):
         # Unit is constant on the whole input space of this cell; the sign
         # of the bias decides, exact zero counting as inactive.
-        yield (1 if d > 0 else 0, [], None)
+        yield 1 if d > 0 else 0, []
         return
     # active: g.x + d > 0  <=>  (-g).x < d
-    yield (1, [(-g / norm, d / norm)], None)
+    yield 1, [(-g / norm, d / norm)]
     # inactive: g.x + d < 0
-    yield (0, [(g / norm, -d / norm)], None)
+    yield 0, [(g / norm, -d / norm)]
 
 
-def _maxout_children(cell: _Cell, G, D, cfg):
+def _maxout_children(G, D):
+    """(state, new rows) of the children of one maxout unit on one cell."""
     k = G.shape[0]
     for t in range(k):
         rows = []
@@ -284,7 +282,7 @@ def _maxout_children(cell: _Cell, G, D, cfg):
                 continue
             rows.append((row / norm, off / norm))
         if not dominated:
-            yield (t, rows, None)
+            yield t, rows
 
 
 def _subdivide_cell(cell: _Cell, layer, cfg) -> list[_Cell]:
@@ -298,13 +296,13 @@ def _subdivide_cell(cell: _Cell, layer, cfg) -> list[_Cell]:
             if k == 1:
                 g = W[j] @ c.A
                 d = float(W[j] @ c.c + b[j])
-                candidates = _rectifier_children(c, g, d, cfg)
+                candidates = _rectifier_children(g, d)
             else:
                 rows = slice(j * k, (j + 1) * k)
                 G = W[rows] @ c.A
                 D = W[rows] @ c.c + b[rows]
-                candidates = _maxout_children(c, G, D, cfg)
-            for state, new_rows, _ in candidates:
+                candidates = _maxout_children(G, D)
+            for state, new_rows in candidates:
                 got = _try_extend(c, new_rows, cfg)
                 if got is None:
                     continue
@@ -327,25 +325,10 @@ def _subdivide_cell(cell: _Cell, layer, cfg) -> list[_Cell]:
     # fix the layer's pattern and update the affine map
     done = []
     for c in cells:
-        states = c.pattern[-layer.width:]
-        base = c.pattern[:-layer.width]
-        if k == 1:
-            sel = np.array(states, dtype=float)[:, None]
-            Weff, beff = W * sel, b * sel[:, 0]
-        else:
-            pick = [j * k + t for j, t in enumerate(states)]
-            Weff, beff = W[pick], b[pick]
-        done.append(
-            _Cell(
-                c.normals,
-                c.offsets,
-                base + [tuple(states)],
-                Weff @ c.A,
-                Weff @ c.c + beff,
-                c.witness,
-                c.clearance,
-            )
-        )
+        states = tuple(c.pattern[-layer.width:])
+        Weff, beff = layer_selection(layer, states)
+        done.append(_Cell(c.normals, c.offsets, c.pattern[:-layer.width] + [states],
+                          Weff @ c.A, Weff @ c.c + beff, c.witness, c.clearance))
     return done
 
 
@@ -374,12 +357,7 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
 
     cells = [root]
     for layer in net.layers:
-        if cfg.workers > 1 and len(cells) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                chunks = list(pool.map(lambda c: _subdivide_cell(c, layer, cfg), cells))
-        else:
-            chunks = [_subdivide_cell(c, layer, cfg) for c in cells]
-        cells = [child for chunk in chunks for child in chunk]
+        cells = [child for c in cells for child in _subdivide_cell(c, layer, cfg)]
         if len(cells) > cfg.region_cap:
             raise RegionBudgetError(len(cells), cfg.region_cap)
 
@@ -387,8 +365,12 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
     for c in cells:
         pattern = tuple(c.pattern)
         aff = AffineMap(c.A, c.c)
+        # rounding in the composed map and in the forward pass both grow
+        # with the magnitude of the terms summed, so the bound scales with it
+        scale = (np.max(np.abs(c.c))
+                 + np.max(np.abs(c.A).sum(axis=1)) * np.max(np.abs(c.witness)))
         drift = float(np.max(np.abs(aff(c.witness) - forward(net, c.witness)[-1])))
-        if drift > 1e-9:
+        if drift > 1e-9 * max(1.0, scale):
             raise EnumerationError(
                 f"affine map drifted ({drift:.2e}) on region {pattern_code(pattern)}"
             )

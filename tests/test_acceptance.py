@@ -1,18 +1,18 @@
 """Acceptance gate: every criterion must pass, one assertion line each.
 
-The suite is computed once per test session; the individual tests then
-report pass/fail per criterion so a regression names the exact criterion
-it broke.
+The suite is computed once per test session (see conftest.py); the
+individual tests then report pass/fail per criterion so a regression names
+the exact criterion it broke.
 """
 
 import pytest
 
-from pwlregions.acceptance import format_table, run_all
+from pwlregions.acceptance import c01_shallow_attainment, format_table
 
 
-@pytest.fixture(scope="module")
-def results():
-    return {r.cid: r for r in run_all(seed=0, workers=1)}
+@pytest.fixture()
+def results(acceptance_seed0):
+    return {r.cid: r for r in acceptance_seed0}
 
 
 def test_c01_shallow_attainment(results):
@@ -69,3 +69,11 @@ def test_table_lists_every_criterion(results):
     assert len(lines) == 13
     assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
     assert lines[-1] == "12/12 criteria passed"
+
+
+@pytest.mark.parametrize("seed", [15, 18, 21])
+def test_c01_counts_vertices_outside_default_box(seed):
+    # each of these seeds draws a net with an arrangement vertex beyond
+    # |x| = 1e3, which the default box would cut off
+    result = c01_shallow_attainment(seed)
+    assert result.passed, result.detail

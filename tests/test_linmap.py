@@ -18,7 +18,15 @@ from pwlregions.linmap import (
     unit_activation,
     unit_linear_map,
 )
-from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward
+from pwlregions.network import (
+    ACT_RECTIFIER,
+    Layer,
+    Network,
+    forward,
+    maxout,
+    pattern_affine,
+    pattern_at,
+)
 from pwlregions.regions import FeasibilityConfig, enumerate_regions
 
 
@@ -66,6 +74,44 @@ def test_boundary_clearance_geometry():
     net = build_abs_net().network
     assert boundary_clearance(net, np.array([0.3, 0.4])) == pytest.approx(0.3)
     assert boundary_clearance(net, np.array([1e-9, 0.5])) < 1e-8
+
+
+def _reference_clearance(net, x):
+    """min over units of |z| / |g|, with the input-space row g and value z
+    of each unit (each branch difference, for maxout) taken from the
+    pattern-fixed maps of the layers below."""
+    pattern = pattern_at(net, x)
+    best = np.inf
+    for i, layer in enumerate(net.layers):
+        below = pattern_affine(net, pattern, upto=i)
+        rows = [(layer.weights[r] @ below.matrix, layer.weights[r] @ below.offset + layer.bias[r])
+                for r in range(layer.weights.shape[0])]
+        k = layer.activation.rank
+        if k == 1:
+            pairs = rows
+        else:
+            pairs = []
+            for j, t in enumerate(pattern[i]):
+                gt, zt = rows[j * k + t]
+                pairs += [(gt - g, zt - z) for g, z in rows[j * k:(j + 1) * k]]
+        for g, z in pairs:
+            if np.linalg.norm(g) > 1e-12:
+                best = min(best, abs(float(g @ x + z)) / float(np.linalg.norm(g)))
+    return best
+
+
+@pytest.mark.parametrize("act", [ACT_RECTIFIER, maxout(2), maxout(3)])
+def test_boundary_clearance_matches_reference(act):
+    rng = np.random.default_rng(11)
+    layers, fan = [], 2
+    for w in (4, 3, 3):
+        layers.append(Layer(rng.normal(size=(w * act.rank, fan)),
+                            rng.normal(size=w * act.rank), act))
+        fan = w
+    net = Network(2, tuple(layers))
+    for x in rng.uniform(-3, 3, size=(40, 2)):
+        assert boundary_clearance(net, x) == pytest.approx(_reference_clearance(net, x),
+                                                           rel=1e-9, abs=1e-12)
 
 
 def test_readout_linear_map():

@@ -25,7 +25,6 @@ from pwlregions.network import (
     pattern_at,
     pattern_code,
     pattern_matrix,
-    preactivations,
     rectifier_structure,
     save_network,
     structure_of,
@@ -97,6 +96,31 @@ def test_pattern_matrix_agrees_with_pattern_at():
         assert row.tolist() == flat
 
 
+def test_tie_rules_agree_between_point_and_batch():
+    # layer 0: rectifiers on x, -x and y, each exactly 0 on an axis;
+    # layer 1: rank-3 maxout units with branches (h0, h1, h0) and
+    # (0, h2, -h2), which tie wherever their inputs are equal
+    l0 = Layer(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.zeros(3))
+    l1 = Layer(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+               np.zeros(6), maxout(3))
+    net = Network(2, (l0, l1))
+    cases = [
+        ([0.0, 0.0], ((0, 0, 0), (0, 0))),    # every unit at an exact tie
+        ([-0.0, 0.0], ((0, 0, 0), (0, 0))),
+        ([0.0, 1.0], ((0, 0, 1), (0, 1))),
+        ([1.0, 0.0], ((1, 0, 0), (0, 0))),    # branches 0 and 2 tie: lowest wins
+        ([-1.0, 0.0], ((0, 1, 0), (1, 0))),
+        ([0.0, -1.0], ((0, 0, 0), (0, 0))),
+        ([2.0, 3.0], ((1, 0, 1), (0, 1))),
+    ]
+    X = np.array([x for x, _ in cases])
+    M = pattern_matrix(net, X)
+    for (x, want), row in zip(cases, M):
+        assert pattern_at(net, np.array(x)) == want
+        assert row.tolist() == [u for layer in want for u in layer]
+
+
 def test_pattern_code_layout():
     assert pattern_code(((1, 0), (2,))) == "1,0|2"
 
@@ -115,14 +139,6 @@ def test_pattern_affine_upto_prefix():
     x = np.array([0.3, -0.8])
     aff1 = pattern_affine(net, pattern_at(net, x), upto=1)
     assert np.allclose(aff1(x), forward(net, x)[0])
-
-
-def test_preactivations_shapes():
-    rng = np.random.default_rng(5)
-    net = _random_net(rng, 2, (3,), maxout(2))
-    pres = preactivations(net, np.zeros(2))
-    assert pres[0].shape == (6,)
-    assert forward(net, np.zeros(2))[0].shape == (3,)
 
 
 def test_parameter_count_values():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwlregions import regions
 from pwlregions.constructions import build_abs_net, build_folding_rectifier_net
 from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward
 from pwlregions.regions import (
+    EnumerationError,
     FeasibilityConfig,
     RegionBudgetError,
     check_general_position,
@@ -69,13 +71,34 @@ def test_region_cap():
     assert err.value.partial_count > 2
 
 
-def test_workers_do_not_change_output():
-    con = build_folding_rectifier_net(2, (4, 4))
-    rs1 = enumerate_regions(con.network, FeasibilityConfig(box=con.spec.count_box, workers=1))
-    rs3 = enumerate_regions(con.network, FeasibilityConfig(box=con.spec.count_box, workers=3))
-    assert [r.pattern for r in rs1.regions] == [r.pattern for r in rs3.regions]
-    for a, b in zip(rs1.regions, rs3.regions):
-        assert np.array_equal(a.witness, b.witness)
+def _scale10_net():
+    """A weight-scale-10 (6,6,6) net: on the default box its values reach
+    ~1e6, where rounding alone leaves a map-versus-forward drift of ~1e-9."""
+    rng = np.random.default_rng([3, 1, 4, 0])
+    layers, fan = [], 2
+    for w in (6, 6, 6):
+        layers.append(Layer(10 * rng.normal(size=(w, fan)), 10 * rng.normal(size=w),
+                            ACT_RECTIFIER))
+        fan = w
+    return Network(2, tuple(layers))
+
+
+def test_drift_check_scales_with_magnitude():
+    # an absolute 1e-9 bound refused this net (drift 1.86e-09)
+    assert enumerate_regions(_scale10_net()).count == 290
+
+
+def test_drift_check_catches_a_wrong_map(monkeypatch):
+    # every composed map off by a relative 1e-6 must still be refused
+    true_selection = regions.layer_selection
+
+    def skewed(layer, states):
+        W, b = true_selection(layer, states)
+        return W * (1 + 1e-6), b * (1 + 1e-6)
+
+    monkeypatch.setattr(regions, "layer_selection", skewed)
+    with pytest.raises(EnumerationError, match="drifted"):
+        enumerate_regions(three_lines_net())
 
 
 def test_box_clips_regions():
