@@ -30,6 +30,7 @@ class IdentificationError(RuntimeError):
 
 def unit_activation(net: Network, layer: int, unit: int, x) -> float:
     """Post-nonlinearity output of one unit at x."""
+    _check_unit(net, layer, unit)
     acts = forward(net, np.asarray(x, float))
     return float(acts[layer][unit])
 

@@ -14,6 +14,18 @@ survives iff a max-slack feasibility program finds an interior point
 whose smallest normalized slack exceeds ``feas_tol``; the optimizer of
 that program doubles as the stored witness.
 
+Most children are empty: the new hyperplane misses the cell.  Every cell
+therefore also carries its vertices (the box corners at the root), each
+with a bitmask of the rows tight there.  A child is cut from its parent's
+vertices one new row at a time; if every remaining vertex misses a row by
+more than 10*feas_tol, the child is empty and no program runs.  A child
+that survives gets its vertices from the same clip, a double-description
+step: kept vertices stay, and each edge from a kept to a dropped vertex
+gives one new vertex on the hyperplane.  The program remains the only
+source of witnesses, so skipping it changes no count, pattern or witness.
+A clip that degenerates leaves the child without vertices; it and its
+descendants then rely on the program alone.
+
 Counts depend on the box: cells that only exist beyond it are not seen.
 Constructed witnesses whose predicted counts are exact therefore carry
 the box on which exactness holds.
@@ -216,9 +228,11 @@ def _feasible_child(normals, offsets, cfg: FeasibilityConfig):
 # subdivision
 
 class _Cell:
-    __slots__ = ("normals", "offsets", "pattern", "A", "c", "witness", "clearance")
+    __slots__ = ("normals", "offsets", "pattern", "A", "c", "witness", "clearance",
+                 "vertices", "tight")
 
-    def __init__(self, normals, offsets, pattern, A, c, witness, clearance):
+    def __init__(self, normals, offsets, pattern, A, c, witness, clearance,
+                 vertices, tight):
         self.normals = normals      # list of 1-d arrays (unit rows)
         self.offsets = offsets      # list of floats
         self.pattern = pattern      # list of per-layer tuples
@@ -226,21 +240,103 @@ class _Cell:
         self.c = c
         self.witness = witness
         self.clearance = clearance
+        # Vertices of the closed cell, (k, n0), or None once a clip has
+        # degenerated: the cell and its descendants then rely on the LP alone.
+        self.vertices = vertices
+        # Per vertex, a bitmask of the rows tight there: bit j is set iff
+        # the vertex lies on row j.  A row that cuts nothing off sets no
+        # bit, so a clip that drops no vertex hands the parent's vertices
+        # and masks to the child unchanged.
+        self.tight = tight
+
+
+# A vertex within this distance of a cutting plane, relative to the largest
+# vertex coordinate, lies on it.  Far above the rounding of the slacks, far
+# below the 10*feas_tol margin of the emptiness proof.
+_ON_PLANE = 1e-11
+
+
+def _box_vertices(box: Box):
+    """The corners of ``box`` and their tight masks over the box rows
+    (row 2i is x_i < hi_i, row 2i+1 is -x_i < -lo_i)."""
+    V = np.array(list(itertools.product(*box)), float)
+    tight = [sum(1 << (2 * i + (x == lo)) for i, (x, (lo, _)) in enumerate(zip(v, box)))
+             for v in V.tolist()]
+    return V, tight
+
+
+def _clip(V, tight, row, off, r, margin):
+    """Cut the polytope with vertices ``V`` by ``row . x <= off``, the
+    cell's row ``r``, in one double-description step.
+
+    Returns None when every vertex misses the row by more than ``margin``:
+    the child is empty.  Otherwise returns the child's (vertices, tight),
+    both None when the clip leaves no full-dimensional polytope."""
+    s = off - V @ row
+    top = s.max()
+    if top < -margin:
+        return None
+    tol = _ON_PLANE * max(1.0, float(np.abs(V).max()))
+    if s.min() >= -tol:
+        return V, tight
+    if top <= tol:
+        return None, None
+    n = V.shape[1]
+    bit = 1 << r
+    slack, pts = s.tolist(), V.tolist()
+    keep, drop, out, masks = [], [], [], []
+    for i, v in enumerate(slack):
+        if v < -tol:
+            drop.append(i)
+            continue
+        out.append(pts[i])
+        if v > tol:
+            keep.append(i)
+            masks.append(tight[i])
+        else:
+            masks.append(tight[i] | bit)
+    # an edge joins a kept and a dropped vertex sharing n-1 tight rows that
+    # no third vertex is tight on as well; it crosses the plane once
+    for i in keep:
+        for j in drop:
+            common = tight[i] & tight[j]
+            if (common.bit_count() >= n - 1
+                    and sum(m & common == common for m in tight) == 2):
+                lam = slack[i] / (slack[i] - slack[j])
+                out.append([a + lam * (b - a) for a, b in zip(pts[i], pts[j])])
+                masks.append(common | bit)
+    if len(out) <= n:
+        return None, None
+    return np.array(out), masks
 
 
 def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
-    """Feasibility of cell + new strict rows.  Returns (witness, clearance)
-    reusing the parent witness when it already sits strictly inside."""
-    if new_rows:
-        slacks = [off - row @ cell.witness for row, off in new_rows]
-        worst = min(slacks)
-        if worst > cfg.feas_tol:
-            return cell.witness, min(cell.clearance, worst)
-        normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
-        offsets = np.concatenate([cell.offsets, [o for _, o in new_rows]])
-    else:
-        return cell.witness, cell.clearance
-    return _feasible_child(normals, offsets, cfg)
+    """Feasibility of cell + new strict rows.  Returns (witness, clearance,
+    vertices, tight) of the child, or None when it is empty.
+
+    The parent witness is reused when it already sits strictly inside.
+    The parent's vertices are clipped by each new row in turn; when every
+    vertex left misses a row by more than 10*feas_tol, the child is empty
+    without an LP.  The LP decides the rest.
+    """
+    if not new_rows:
+        return cell.witness, cell.clearance, cell.vertices, cell.tight
+    worst = min(off - row @ cell.witness for row, off in new_rows)
+    hull = (cell.vertices, cell.tight)
+    for j, (row, off) in enumerate(new_rows):
+        if hull[0] is None:
+            break
+        hull = _clip(*hull, row, off, len(cell.offsets) + j, 10 * cfg.feas_tol)
+        if hull is None:
+            break
+    if worst > cfg.feas_tol:
+        return (cell.witness, min(cell.clearance, worst)) + (hull or (None, None))
+    if hull is None:
+        return None
+    normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
+    offsets = np.concatenate([cell.offsets, [o for _, o in new_rows]])
+    got = _feasible_child(normals, offsets, cfg)
+    return None if got is None else got + hull
 
 
 def _rectifier_children(g, d):
@@ -285,14 +381,16 @@ def _maxout_children(G, D):
             yield t, rows
 
 
-def _subdivide_cell(cell: _Cell, layer, cfg) -> list[_Cell]:
-    """Push one cell through every unit of one layer."""
+def _subdivide_cell(cell: _Cell, layer, cfg, held: int) -> list[_Cell]:
+    """Push one cell through every unit of one layer.  ``held`` live cells
+    lie outside this one; with them, every child created counts against
+    ``cfg.region_cap``."""
     cells = [cell]
     k = layer.activation.rank
     W, b = layer.weights, layer.bias
     for j in range(layer.width):
         nxt = []
-        for c in cells:
+        for i, c in enumerate(cells):
             if k == 1:
                 g = W[j] @ c.A
                 d = float(W[j] @ c.c + b[j])
@@ -306,17 +404,18 @@ def _subdivide_cell(cell: _Cell, layer, cfg) -> list[_Cell]:
                 got = _try_extend(c, new_rows, cfg)
                 if got is None:
                     continue
-                witness, clearance = got
                 child = _Cell(
                     c.normals + [r for r, _ in new_rows],
                     c.offsets + [o for _, o in new_rows],
                     c.pattern + [state],
                     c.A,
                     c.c,
-                    witness,
-                    clearance,
+                    *got,
                 )
                 nxt.append(child)
+                live = held + len(nxt) + len(cells) - i - 1
+                if live > cfg.region_cap:
+                    raise RegionBudgetError(live, cfg.region_cap)
         cells = nxt
         if not cells:
             raise EnumerationError(
@@ -328,7 +427,8 @@ def _subdivide_cell(cell: _Cell, layer, cfg) -> list[_Cell]:
         states = tuple(c.pattern[-layer.width:])
         Weff, beff = layer_selection(layer, states)
         done.append(_Cell(c.normals, c.offsets, c.pattern[:-layer.width] + [states],
-                          Weff @ c.A, Weff @ c.c + beff, c.witness, c.clearance))
+                          Weff @ c.A, Weff @ c.c + beff, c.witness, c.clearance,
+                          c.vertices, c.tight))
     return done
 
 
@@ -353,13 +453,15 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         offsets.append(-lo)
     center = np.array([(lo + hi) / 2 for lo, hi in box])
     clearance = min((hi - lo) / 2 for lo, hi in box)
-    root = _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), center, clearance)
+    root = _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), center, clearance,
+                 *_box_vertices(box))
 
     cells = [root]
     for layer in net.layers:
-        cells = [child for c in cells for child in _subdivide_cell(c, layer, cfg)]
-        if len(cells) > cfg.region_cap:
-            raise RegionBudgetError(len(cells), cfg.region_cap)
+        done: list[_Cell] = []
+        for i, c in enumerate(cells):
+            done += _subdivide_cell(c, layer, cfg, len(done) + len(cells) - i - 1)
+        cells = done
 
     regions = []
     for c in cells:

@@ -181,3 +181,11 @@ def test_unit_activation_consistency():
     for layer in range(net.depth):
         for unit in range(net.layers[layer].width):
             assert unit_activation(net, layer, unit, x) == acts[layer][unit]
+
+
+@pytest.mark.parametrize("fn", [unit_activation, finite_difference_gradient])
+@pytest.mark.parametrize("layer, unit", [(-1, 0), (0, -1), (1, 0), (0, 4)])
+def test_unit_indices_out_of_range(fn, layer, unit):
+    # negative indices must not wrap around to the last layer or unit
+    with pytest.raises(IndexError):
+        fn(build_abs_net().network, layer, unit, np.array([0.3, -0.2]))

@@ -1,13 +1,20 @@
 """Exact enumeration against hand geometry, the grid oracle, and itself."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from pwlregions import regions
-from pwlregions.constructions import build_abs_net, build_folding_rectifier_net
-from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward
+from pwlregions.constructions import (
+    build_abs_net,
+    build_folding_rectifier_net,
+    build_shi_layer,
+)
+from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward, maxout
 from pwlregions.regions import (
     EnumerationError,
     FeasibilityConfig,
@@ -20,6 +27,7 @@ from pwlregions.regions import (
     polygon_area,
     region_polygons_2d,
 )
+from pwlregions.reports import render_region_report
 
 BOX2 = FeasibilityConfig(box=((-2.0, 2.0), (-2.0, 2.0)))
 
@@ -64,11 +72,22 @@ def test_patterns_sorted_and_distinct():
     assert len(set(pats)) == len(pats)
 
 
-def test_region_cap():
+def test_region_cap(monkeypatch):
+    # the abs net's one layer makes 4 cells; the cap stops it at the third,
+    # before the layer finishes and fixes any pattern
+    finished = []
+    true_selection = regions.layer_selection
+
+    def selection(layer, states):
+        finished.append(states)
+        return true_selection(layer, states)
+
+    monkeypatch.setattr(regions, "layer_selection", selection)
     with pytest.raises(RegionBudgetError) as err:
         enumerate_regions(build_abs_net().network, FeasibilityConfig(region_cap=2))
     assert err.value.cap == 2
-    assert err.value.partial_count > 2
+    assert err.value.partial_count == 3
+    assert finished == []
 
 
 def _scale10_net():
@@ -81,6 +100,89 @@ def _scale10_net():
                             ACT_RECTIFIER))
         fan = w
     return Network(2, tuple(layers))
+
+
+def _random_net(seed, n0, widths, rank=1):
+    rng = np.random.default_rng(seed)
+    act = ACT_RECTIFIER if rank == 1 else maxout(rank)
+    layers, fan = [], n0
+    for w in widths:
+        layers.append(Layer(rng.normal(size=(rank * w, fan)), rng.normal(size=rank * w), act))
+        fan = w
+    return Network(n0, tuple(layers))
+
+
+BOX10 = FeasibilityConfig(box_halfwidth=10.0)
+
+# Region counts and SHA-256 of the rendered region reports, recorded before
+# cells carried vertices: skipping LPs must not move a single byte.
+GOLDEN_REPORTS = {
+    "rect-2-8-8": (lambda: (_random_net(1, 2, (8, 8)), BOX10),
+                   104, "a8da8cd3de04e16e8ca09eaca37e62112fbfe2bd16c3e813acbff425fe61e150"),
+    "rect-3-6-6": (lambda: (_random_net(2, 3, (6, 6)), BOX10),
+                   239, "3f58639b2ebf19dbca0b7ad81a727ec21f7be45f762743e887e2804fced6af1f"),
+    "rect-4-4-4": (lambda: (_random_net(3, 4, (4, 4)), BOX10),
+                   94, "da8c3c37e7d839fd2f9a160602790fde5732d63b927d8dcd85b3bedca206e467"),
+    "maxout3-2-3-3": (lambda: (_random_net(4, 2, (3, 3), rank=3), BOX10),
+                      47, "0469cd63c44c1650458e6f8f4209d1c79cbf1997387b4fc6fdba03137483feb1"),
+    "scale10": (lambda: (_scale10_net(), FeasibilityConfig()),
+                290, "2254055271823d521cd4a985bd54d308179f24daaa43daacc22d3f8d915bd6c0"),
+    "shi3-exact": (lambda: (build_shi_layer(3).network,
+                            FeasibilityConfig(exact_rational=True)),
+                   16, "672df7264626951832e29ad5677ae0eaff08789550776437d946498300e82ad4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_byte_identical(name):
+    make, count, digest = GOLDEN_REPORTS[name]
+    rs = enumerate_regions(*make())
+    assert rs.count == count
+    assert hashlib.sha256(render_region_report(rs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("net, general", [
+    (_random_net(1, 2, (8, 8)), True),
+    (_random_net(3, 4, (4, 4)), True),
+    (build_shi_layer(4).network, False),  # concurrent planes: non-simple vertices
+], ids=["2d", "4d", "shi4"])
+def test_carried_vertices(net, general, monkeypatch):
+    """On nets in general position every LP finds a child: the vertices
+    prove every empty one.  On every net the carried vertices satisfy
+    their cell's rows, and their hulls tile the box with no point to
+    spare: no vertex went missing and none is redundant."""
+    lps = []
+    true_linprog = regions.linprog
+
+    def linprog(*args, **kwargs):
+        res = true_linprog(*args, **kwargs)
+        lps.append(res.status == 0 and res.x[-1] > BOX10.feas_tol)
+        return res
+
+    final = []
+    true_subdivide = regions._subdivide_cell
+
+    def subdivide(cell, layer, cfg, held):
+        done = true_subdivide(cell, layer, cfg, held)
+        if layer is net.layers[-1]:
+            final.extend(done)
+        return done
+
+    monkeypatch.setattr(regions, "linprog", linprog)
+    monkeypatch.setattr(regions, "_subdivide_cell", subdivide)
+    rs = enumerate_regions(net, BOX10)
+    assert lps and (all(lps) or not general)
+    assert len(final) == rs.count
+    scale = 10.0
+    volume = 0.0
+    for cell in final:
+        assert cell.vertices is not None
+        slack = np.array(cell.offsets)[None, :] - cell.vertices @ np.array(cell.normals).T
+        assert slack.min() >= -1e-9 * scale
+        hull = ConvexHull(cell.vertices)
+        assert len(hull.vertices) == len(cell.vertices)
+        volume += hull.volume
+    assert volume == pytest.approx((2 * scale) ** net.input_dim, rel=1e-9)
 
 
 def test_drift_check_scales_with_magnitude():
@@ -108,6 +210,15 @@ def test_box_clips_regions():
     net = Network(1, (Layer(W, b, ACT_RECTIFIER),))
     assert count_regions(net, FeasibilityConfig(box=((-1.0, 0.9),))) == 2
     assert count_regions(net, FeasibilityConfig(box=((-1.0, 2.0),))) == 3
+
+
+def test_sliver_thinner_than_the_vertex_margin_is_kept():
+    # breakpoints 5e-7 apart: the middle cell's clearance 2.5e-7 clears
+    # feas_tol, though its vertices lie within 10*feas_tol of the cut
+    W = np.array([[1.0], [1.0]])
+    b = np.array([0.0, -5e-7])
+    net = Network(1, (Layer(W, b, ACT_RECTIFIER),))
+    assert count_regions(net, FeasibilityConfig(box=((-1.0, 1.0),))) == 3
 
 
 def test_config_validation():
