@@ -383,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "regions2d",
         help="polygon CSV / SVG export for two-input networks",
-        description="Clip every region of a two-input network to the box and "
-                    "export the polygons (CSV vertices and/or an SVG picture "
-                    "colored by activation pattern).")
+        description="Export the polygons of a two-input network's regions, read "
+                    "from the vertices the enumeration carries (CSV vertices "
+                    "and/or an SVG picture colored by activation pattern).")
     p.add_argument("network", help="network JSON file, or - for stdin")
     p.add_argument("--csv", metavar="FILE", help="write region_id,vertex_index,x,y rows")
     p.add_argument("--svg", metavar="FILE", help="write an SVG rendering")
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     except NetworkFormatError as exc:
         print(f"bad network file: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (IndexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,12 +32,11 @@ from .network import (
     AffineMap,
     Layer,
     Network,
-    forward,
     maxout,
-    pattern_affine,
     pattern_at,
     rectifier_structure,
 )
+from .linmap import output_map, output_values
 from .regions import Box, FeasibilityConfig, check_general_position, enumerate_regions
 
 
@@ -77,8 +76,7 @@ class Construction:
 
     def value(self, x) -> np.ndarray:
         """The function the construction realizes (readout applied if any)."""
-        acts = forward(self.network, np.asarray(x, float))[-1]
-        return self.readout(acts) if self.readout is not None else acts
+        return output_values(self.network, x, self.readout)
 
 
 # ---------------------------------------------------------------------------
@@ -616,18 +614,11 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
     if len(boxes) < 2:
         raise ValueError("need at least two boxes")
 
-    def out(x):
-        acts = forward(net, x)[-1]
-        return readout(acts) if readout is not None else acts
-
     maps, patterns = [], []
     for b in boxes:
         center = np.array([(lo + hi) / 2 for lo, hi in b])
         pat = pattern_at(net, center)
-        aff = pattern_affine(net, pat)
-        if readout is not None:
-            aff = readout.compose(aff)
-        maps.append(aff)
+        maps.append(output_map(net, pat, readout))
         patterns.append(pat)
 
     rng = np.random.default_rng(seed)
@@ -636,8 +627,8 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
     for _ in range(probe_count):
         x = lo0 + (hi0 - lo0) * rng.random(len(boxes[0]))
         target = maps[0](x)
-        if np.max(np.abs(out(x) - target)) > tol:      # box 0 not inside one region
-            return False
+        if np.max(np.abs(output_values(net, x, readout) - target)) > tol:
+            return False  # box 0 is not inside one region
         for b, aff, pat in zip(boxes[1:], maps[1:], patterns[1:]):
             A, c = aff.matrix, aff.offset
             if A.shape[0] != A.shape[1]:
@@ -652,6 +643,6 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
                 return False
             if pattern_at(net, y) != pat:
                 return False
-            if np.max(np.abs(out(y) - target)) > tol:
+            if np.max(np.abs(output_values(net, y, readout) - target)) > tol:
                 return False
     return True

@@ -51,8 +51,21 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
 
 def readout_linear_map(net: Network, readout: AffineMap, x) -> AffineMap:
     """Affine map of a linear readout of the final activations on x's region."""
-    pattern = pattern_at(net, np.asarray(x, float))
-    return readout.compose(pattern_affine(net, pattern))
+    return output_map(net, pattern_at(net, np.asarray(x, float)), readout)
+
+
+def output_map(net: Network, prefix, readout: AffineMap | None = None) -> AffineMap:
+    """The affine map a pattern prefix fixes from the input to the
+    activations of its last layer, after ``readout`` if one is given (the
+    prefix is then a whole pattern)."""
+    full = pattern_affine(net, prefix, upto=len(prefix))
+    return full if readout is None else readout.compose(full)
+
+
+def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarray:
+    """The last layer's activations at x, after ``readout`` if one is given."""
+    acts = forward(net, np.asarray(x, float))[-1]
+    return acts if readout is None else readout(acts)
 
 
 def _check_unit(net: Network, layer: int, unit: int) -> None:
@@ -69,6 +82,8 @@ def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
     x's pattern that fixes the map (see ``_tracked_map``)."""
     if readout is None:
         _check_unit(net, layer, unit)
+    elif not 0 <= unit < readout.matrix.shape[0]:
+        raise IndexError(f"readout row {unit} out of range")
     acts = forward(net, x)
     value = float(acts[layer][unit] if readout is None else readout(acts[-1])[unit])
     if value <= 0.0:
@@ -80,9 +95,7 @@ def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
 def _tracked_map(net: Network, unit: int, prefix, readout: AffineMap | None) -> AffineMap:
     """Row ``unit`` of the map that a pattern prefix fixes, after
     ``readout`` if one is given (the prefix is then a whole pattern)."""
-    full = pattern_affine(net, prefix, upto=len(prefix))
-    if readout is not None:
-        full = readout.compose(full)
+    full = output_map(net, prefix, readout)
     return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
 
 
@@ -141,24 +154,20 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     coefficients so the result is independent of traversal order.
     """
     pieces: list[UnitPiece] = []
-    maps: dict[tuple, AffineMap] = {}
+    keys: list[np.ndarray] = []
+    # a prefix seen before fixes the same map, which matched a piece then
+    seen: set[tuple] = set()
     for raw in samples:
         x = np.asarray(raw, float)
         act, prefix = _tracked(net, layer, unit, x, readout)
-        if act <= 0.0:
+        if act <= 0.0 or prefix in seen:
             continue
-        if prefix not in maps:
-            maps[prefix] = _tracked_map(net, unit, prefix, readout)
-        m = maps[prefix]
+        seen.add(prefix)
+        m = _tracked_map(net, unit, prefix, readout)
         key = np.concatenate([m.matrix.ravel(), m.offset])
-        found = False
-        for p in pieces:
-            other = np.concatenate([p.map.matrix.ravel(), p.map.offset])
-            if np.max(np.abs(key - other)) <= tol:
-                found = True
-                break
-        if not found:
+        if all(np.max(np.abs(key - other)) > tol for other in keys):
             pieces.append(UnitPiece(m, x, act))
+            keys.append(key)
     pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
     return pieces
 

@@ -24,7 +24,8 @@ step: kept vertices stay, and each edge from a kept to a dropped vertex
 gives one new vertex on the hyperplane.  The program remains the only
 source of witnesses, so skipping it changes no count, pattern or witness.
 A clip that degenerates leaves the child without vertices; it and its
-descendants then rely on the program alone.
+descendants then rely on the program alone.  The final cells hand their
+vertices to their regions, and the 2-d polygons are read from them.
 
 Counts depend on the box: cells that only exist beyond it are not seen.
 Constructed witnesses whose predicted counts are exact therefore carry
@@ -110,6 +111,8 @@ class Region:
     affine: AffineMap          # input -> activations of the last processed layer
     witness: np.ndarray
     clearance: float
+    vertices: np.ndarray | None = None  # (k, n0), None if the clip degenerated
+    tight: list[int] | None = None      # per vertex, bit j: cut on row j (see _Cell)
 
     def contains(self, x: np.ndarray, slack: float = 0.0) -> bool:
         return bool((self.normals @ np.asarray(x, float) <= self.offsets - slack).all())
@@ -256,13 +259,22 @@ class _Cell:
 _ON_PLANE = 1e-11
 
 
-def _box_vertices(box: Box):
-    """The corners of ``box`` and their tight masks over the box rows
-    (row 2i is x_i < hi_i, row 2i+1 is -x_i < -lo_i)."""
+def _root_cell(box: Box) -> _Cell:
+    """The whole box as a cell: row 2i is x_i < hi_i, row 2i+1 is
+    -x_i < -lo_i, and each corner's mask names the rows tight there."""
+    n0 = len(box)
+    normals, offsets = [], []
+    for i, (lo, hi) in enumerate(box):
+        up, down = np.zeros(n0), np.zeros(n0)
+        up[i], down[i] = 1.0, -1.0
+        normals += [up, down]
+        offsets += [hi, -lo]
     V = np.array(list(itertools.product(*box)), float)
     tight = [sum(1 << (2 * i + (x == lo)) for i, (x, (lo, _)) in enumerate(zip(v, box)))
              for v in V.tolist()]
-    return V, tight
+    center = np.array([(lo + hi) / 2 for lo, hi in box])
+    clearance = min((hi - lo) / 2 for lo, hi in box)
+    return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), center, clearance, V, tight)
 
 
 def _clip(V, tight, row, off, r, margin):
@@ -441,22 +453,7 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         raise ValueError("enumeration supports input dimension <= 4")
     box = cfg.resolved_box(n0)
 
-    normals, offsets = [], []
-    for i, (lo, hi) in enumerate(box):
-        e = np.zeros(n0)
-        e[i] = 1.0
-        normals.append(e.copy())
-        offsets.append(hi)
-        e2 = np.zeros(n0)
-        e2[i] = -1.0
-        normals.append(e2)
-        offsets.append(-lo)
-    center = np.array([(lo + hi) / 2 for lo, hi in box])
-    clearance = min((hi - lo) / 2 for lo, hi in box)
-    root = _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), center, clearance,
-                 *_box_vertices(box))
-
-    cells = [root]
+    cells = [_root_cell(box)]
     for layer in net.layers:
         done: list[_Cell] = []
         for i, c in enumerate(cells):
@@ -484,6 +481,8 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
                 affine=aff,
                 witness=np.asarray(c.witness, float),
                 clearance=float(c.clearance),
+                vertices=c.vertices,
+                tight=c.tight,
             )
         )
     regions.sort(key=lambda r: r.pattern)
@@ -573,37 +572,29 @@ def check_general_position(hyperplanes, dim: int, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 # 2-d geometry
 
-def region_polygons_2d(rs: RegionSet, tol: float = 1e-9) -> list[np.ndarray]:
-    """Vertex lists of every region of a 2-d enumeration.
-
-    Vertices are the feasible pairwise intersections of the bounding
-    lines, deduplicated and ordered counterclockwise around the witness.
-    Aligned 1:1 with ``rs.regions``.
-    """
+def region_polygons_2d(rs: RegionSet) -> list[np.ndarray]:
+    """Vertex lists of every region of a 2-d enumeration, aligned 1:1 with
+    ``rs.regions``: the carried vertices, counterclockwise around the
+    witness, each re-solved from the first non-parallel pair of its tight
+    rows in row order, so its bits do not depend on the order of the clips
+    that found it.  A region without vertices gets an empty polygon."""
     if rs.regions and rs.regions[0].normals.shape[1] != 2:
         raise ValueError("polygon extraction is 2-d only")
     polys = []
     for region in rs.regions:
         N, o = region.normals, region.offsets
-        m = len(o)
         pts = []
-        for i in range(m):
-            for j in range(i + 1, m):
+        for mask in region.tight or ():
+            rows = [i for i in range(len(o)) if mask >> i & 1]
+            for i, j in itertools.combinations(rows, 2):
                 A = np.array([N[i], N[j]])
-                det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-                if abs(det) < 1e-12:
-                    continue
-                v = np.linalg.solve(A, np.array([o[i], o[j]]))
-                if (N @ v <= o + tol).all():
-                    pts.append(v)
-        uniq: list[np.ndarray] = []
-        for v in pts:
-            if all(np.max(np.abs(v - u)) > 1e-7 for u in uniq):
-                uniq.append(v)
-        if len(uniq) < 3:
+                if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) >= 1e-12:
+                    pts.append(np.linalg.solve(A, np.array([o[i], o[j]])))
+                    break
+        if len(pts) < 3:
             polys.append(np.zeros((0, 2)))
             continue
-        arr = np.array(uniq)
+        arr = np.array(pts)
         ang = np.arctan2(arr[:, 1] - region.witness[1], arr[:, 0] - region.witness[0])
         polys.append(arr[np.argsort(ang)])
     return polys

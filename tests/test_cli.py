@@ -145,6 +145,21 @@ def test_identify_subcommand(abs_path, capsys):
     assert "identification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [
+    ["linmap", "--layer", "1", "--unit", "0", "--points", "-"],
+    ["linmap", "--layer", "0", "--unit=-1", "--points", "-"],
+    ["linmap", "--layer", "0", "--unit=-1", "--points", "-", "--readout", "1,1,0,0;0,0,1,1"],
+    ["identify", "--layer", "0", "--unit", "4", "--x1", "0.7,0.2", "--x2=-0.9,0.2"],
+    ["identify", "--layer", "0", "--unit", "2", "--x1", "0.7,0.2", "--x2=-0.9,0.2",
+     "--readout", "1,1,0,0;0,0,1,1"],
+], ids=["layer", "unit", "readout-row", "identify-unit", "identify-readout-row"])
+def test_index_out_of_range_is_an_input_error(abs_path, cmd, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.5,0.5\n-0.5,0.5\n"))
+    assert main([cmd[0], abs_path] + cmd[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "out of range" in err
+
+
 def test_verify_all_byte_identical(tmp_path, acceptance_seed0):
     # one CLI run against the session's own run of the suite: two
     # independent runs, compared byte for byte

@@ -20,6 +20,7 @@ from pwlregions.linmap import (
 )
 from pwlregions.network import (
     ACT_RECTIFIER,
+    AffineMap,
     Layer,
     Network,
     forward,
@@ -189,3 +190,15 @@ def test_unit_indices_out_of_range(fn, layer, unit):
     # negative indices must not wrap around to the last layer or unit
     with pytest.raises(IndexError):
         fn(build_abs_net().network, layer, unit, np.array([0.3, -0.2]))
+
+
+@pytest.mark.parametrize("unit", [-1, 2])
+def test_readout_rows_out_of_range(unit):
+    # with a readout the unit indexes its rows; a negative one must not
+    # wrap around to the last row
+    net = build_abs_net().network
+    readout = AffineMap(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]), np.zeros(2))
+    with pytest.raises(IndexError, match=f"readout row {unit} out of range"):
+        enumerate_unit_pieces(net, 0, unit, [[0.5, 0.5], [-0.5, 0.5]], readout=readout)
+    with pytest.raises(IndexError, match=f"readout row {unit} out of range"):
+        find_identified_pair(net, 0, unit, [0.7, 0.2], [-0.9, 0.2], readout=readout)

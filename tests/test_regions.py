@@ -1,6 +1,7 @@
 """Exact enumeration against hand geometry, the grid oracle, and itself."""
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -11,8 +12,14 @@ from scipy.spatial import ConvexHull
 from pwlregions import regions
 from pwlregions.constructions import (
     build_abs_net,
+    build_catalan_layer,
     build_folding_rectifier_net,
+    build_maxout_cones,
+    build_maxout_parallel,
+    build_rank2_folding_maxout,
+    build_rank2_maxout_as_rectifier,
     build_shi_layer,
+    sawtooth_network,
 )
 from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward, maxout
 from pwlregions.regions import (
@@ -27,7 +34,7 @@ from pwlregions.regions import (
     polygon_area,
     region_polygons_2d,
 )
-from pwlregions.reports import render_region_report
+from pwlregions.reports import region_svg, render_region_report, write_polygon_csv
 
 BOX2 = FeasibilityConfig(box=((-2.0, 2.0), (-2.0, 2.0)))
 
@@ -148,9 +155,10 @@ def test_reports_byte_identical(name):
 ], ids=["2d", "4d", "shi4"])
 def test_carried_vertices(net, general, monkeypatch):
     """On nets in general position every LP finds a child: the vertices
-    prove every empty one.  On every net the carried vertices satisfy
-    their cell's rows, and their hulls tile the box with no point to
-    spare: no vertex went missing and none is redundant."""
+    prove every empty one.  On every net each region's vertices satisfy
+    its rows, lie on the rows their masks name, and their hulls tile the
+    box with no point to spare: no vertex went missing and none is
+    redundant."""
     lps = []
     true_linprog = regions.linprog
 
@@ -159,30 +167,83 @@ def test_carried_vertices(net, general, monkeypatch):
         lps.append(res.status == 0 and res.x[-1] > BOX10.feas_tol)
         return res
 
-    final = []
-    true_subdivide = regions._subdivide_cell
-
-    def subdivide(cell, layer, cfg, held):
-        done = true_subdivide(cell, layer, cfg, held)
-        if layer is net.layers[-1]:
-            final.extend(done)
-        return done
-
     monkeypatch.setattr(regions, "linprog", linprog)
-    monkeypatch.setattr(regions, "_subdivide_cell", subdivide)
     rs = enumerate_regions(net, BOX10)
     assert lps and (all(lps) or not general)
-    assert len(final) == rs.count
     scale = 10.0
     volume = 0.0
-    for cell in final:
-        assert cell.vertices is not None
-        slack = np.array(cell.offsets)[None, :] - cell.vertices @ np.array(cell.normals).T
+    for r in rs.regions:
+        assert r.vertices is not None and len(r.tight) == len(r.vertices)
+        slack = r.offsets[None, :] - r.vertices @ r.normals.T
         assert slack.min() >= -1e-9 * scale
-        hull = ConvexHull(cell.vertices)
-        assert len(hull.vertices) == len(cell.vertices)
+        for s, mask in zip(slack, r.tight):
+            on = [j for j in range(len(s)) if mask >> j & 1]
+            assert len(on) >= net.input_dim and np.abs(s[on]).max() <= 1e-9 * scale
+        hull = ConvexHull(r.vertices)
+        assert len(hull.vertices) == len(r.vertices)
         volume += hull.volume
     assert volume == pytest.approx((2 * scale) ** net.input_dim, rel=1e-9)
+
+
+def _witness_cfg(con, exact=False):
+    return con.network, FeasibilityConfig(box=con.spec.count_box, exact_rational=exact)
+
+
+# SHA-256 of the polygon CSV followed by the SVG, recorded while polygons
+# still came from a search over pairs of bounding lines: reading the
+# carried vertices must not move a byte.
+GOLDEN_POLYGONS = {
+    "abs": (lambda: _witness_cfg(build_abs_net()),
+            "91fcb50eb955251bbff4b0f32a14e26be4534e2d255b6bb6b549ae394d20888b"),
+    "folding-2-4-4": (lambda: _witness_cfg(build_folding_rectifier_net(2, (4, 4))),
+                      "2cf8798b558fd7d52b488e60421911f62e48794359d4627a5afce11f06c58e43"),
+    "cones-2-2-4-exact": (lambda: _witness_cfg(build_maxout_cones(2, 2, 4), exact=True),
+                          "2dba6d560f3f4bcadf9051f7552f5b8c3927b6f40681ec9cb9f847e2de58584b"),
+    "rect-2-8-8": (lambda: (_random_net(1, 2, (8, 8)), BOX10),
+                   "366ee58e39370619584b6a7ed225d68da85fac64a1646ffbf75e42c184cb79f5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POLYGONS))
+def test_polygon_exports_byte_identical(name):
+    make, digest = GOLDEN_POLYGONS[name]
+    rs = enumerate_regions(*make())
+    polygons = region_polygons_2d(rs)
+    csv = io.StringIO()
+    write_polygon_csv(rs, csv, polygons)
+    blob = csv.getvalue() + region_svg(rs, polygons)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+WITNESSES_2D = {
+    "shi(2)": lambda: build_shi_layer(2),
+    "catalan(2)": lambda: build_catalan_layer(2),
+    "parallel(2,2,3)": lambda: build_maxout_parallel(2, 2, 3),
+    "parallel(2,2,4)": lambda: build_maxout_parallel(2, 2, 4),
+    "parallel(2,3,3)": lambda: build_maxout_parallel(2, 3, 3),
+    "folding(2;4,4)": lambda: build_folding_rectifier_net(2, (4, 4)),
+    "folding(2;5,3)": lambda: build_folding_rectifier_net(2, (5, 3)),
+    "folding(2;2,2,2)": lambda: build_folding_rectifier_net(2, (2, 2, 2)),
+    "rank2-folding(2,2)": lambda: build_rank2_folding_maxout(2, 2),
+    "rank2-folding(2,3)": lambda: build_rank2_folding_maxout(2, 3),
+    "cones(2,2,2)": lambda: build_maxout_cones(2, 2, 2),
+    "cones(2,2,3)": lambda: build_maxout_cones(2, 2, 3),
+    "cones(2,2,4)": lambda: build_maxout_cones(2, 2, 4),
+    "cones(2,3,3)": lambda: build_maxout_cones(2, 3, 3),
+    "abs": build_abs_net,
+    "sawtooth(2,n0=2)": lambda: sawtooth_network(2, n0=2),
+    "rank2-sim(2,2)": lambda: build_rank2_maxout_as_rectifier(2, 2).rectifier,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES_2D))
+def test_polygons_tile_the_box(name):
+    # exact mode keeps cones(2,3,3)'s sliver, which carries no vertices:
+    # its empty polygon leaves out an area far below the tolerance
+    rs = enumerate_regions(*_witness_cfg(WITNESSES_2D[name](), exact=True))
+    (x0, x1), (y0, y1) = rs.box
+    area = sum(polygon_area(p) for p in region_polygons_2d(rs))
+    assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-9)
 
 
 def test_drift_check_scales_with_magnitude():
