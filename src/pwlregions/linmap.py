@@ -68,11 +68,15 @@ def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarr
     return acts if readout is None else readout(acts)
 
 
-def _check_unit(net: Network, layer: int, unit: int) -> None:
+def _check_unit(net: Network, layer: int, unit: int,
+                readout: AffineMap | None = None) -> None:
+    """``unit`` indexes the units of ``layer``, or the rows of ``readout``."""
     if not 0 <= layer < net.depth:
         raise IndexError(f"layer {layer} out of range")
-    if not 0 <= unit < net.layers[layer].width:
+    if readout is None and not 0 <= unit < net.layers[layer].width:
         raise IndexError(f"unit {unit} out of range")
+    if readout is not None and not 0 <= unit < readout.matrix.shape[0]:
+        raise IndexError(f"readout row {unit} out of range")
 
 
 def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
@@ -80,10 +84,7 @@ def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
     of ``readout`` applied to the last layer -- and, unless that value is
     <= 0 (then its map is never wanted and this is None), the prefix of
     x's pattern that fixes the map (see ``_tracked_map``)."""
-    if readout is None:
-        _check_unit(net, layer, unit)
-    elif not 0 <= unit < readout.matrix.shape[0]:
-        raise IndexError(f"readout row {unit} out of range")
+    _check_unit(net, layer, unit, readout)
     acts = forward(net, x)
     value = float(acts[layer][unit] if readout is None else readout(acts[-1])[unit])
     if value <= 0.0:

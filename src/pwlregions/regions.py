@@ -27,6 +27,11 @@ A clip that degenerates leaves the child without vertices; it and its
 descendants then rely on the program alone.  The final cells hand their
 vertices to their regions, and the 2-d polygons are read from them.
 
+In exact mode the same clip, run in ``Fraction`` arithmetic from the box
+corners, decides every borderline outcome of the program, and the witness
+kept is one strictly inside every row in exact arithmetic: the optimizer
+if it is, else the rounded centroid of the exact vertices.
+
 Counts depend on the box: cells that only exist beyond it are not seen.
 Constructed witnesses whose predicted counts are exact therefore carry
 the box on which exactness holds.
@@ -77,7 +82,7 @@ class FeasibilityConfig:
     feas_tol       smallest normalized slack that counts as full-dimensional
     region_cap     hard limit on live regions
     exact_rational re-check borderline feasibility outcomes (|t*| within
-                   10x feas_tol) with exact rational elimination
+                   10x feas_tol) by clipping the cell in Fraction arithmetic
     """
 
     box_halfwidth: float = 1e3
@@ -130,7 +135,7 @@ class RegionSet:
 
 
 # ---------------------------------------------------------------------------
-# feasibility: float LP with optional exact rational backstop
+# feasibility: float LP with an optional exact clip as backstop
 
 _ZERO_ROW = 1e-12
 
@@ -148,80 +153,63 @@ def _max_slack_lp(normals: np.ndarray, offsets: np.ndarray):
     return res.x[:n].copy(), float(res.x[n])
 
 
-def _float_to_fraction_rows(normals, offsets):
-    rows = [[Fraction(float(v)) for v in row] for row in normals]
-    offs = [Fraction(float(v)) for v in offsets]
-    return rows, offs
+# Fraction of every element of a float array, as an object array: exact.
+_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
-    """Exact strict-feasibility of {x : normals@x < offsets} over the
-    rationals, by Fourier-Motzkin elimination.
+    """Exact strict feasibility of {x : normals@x < offsets}, for float
+    rows whose first 2*n0 are those of a box in ``_root_cell`` order.
 
-    Floats convert to Fractions exactly, so the answer is exact for any
-    float input.  Returns (feasible, rational witness or None).  Intended
-    for the handful of borderline systems the LP cannot call; row counts
-    blow up combinatorially, so keep systems small.
+    The box corners, as Fractions, are clipped by every other row in the
+    order given (``_clip`` is exact on them); the system is feasible iff no
+    clip leaves an empty or flat polytope.  Returns (feasible, the centroid
+    of the exact vertices, strictly inside every row, or None).  The order
+    changes no answer, only the time: rows that empty the polytope early
+    are best first.
     """
-    rows, offs = _float_to_fraction_rows(np.atleast_2d(normals), np.atleast_1d(offsets))
-    n = len(rows[0]) if rows else 0
-    stack = []  # per eliminated variable: (lowers, uppers) as (coef-free bound rows)
-
-    cur = [(list(r), o) for r, o in zip(rows, offs)]
-    for var in range(n - 1, -1, -1):
-        lowers, uppers, keep = [], [], []
-        for r, o in cur:
-            a = r[var]
-            rest, off = r[:var], o
-            if a == 0:
-                keep.append((rest, off))
-            elif a > 0:
-                uppers.append(([x / a for x in rest], off / a))   # x_var < off - rest.x
-            else:
-                lowers.append(([x / a for x in rest], off / a))   # x_var > off - rest.x
-        stack.append((lowers, uppers))
-        new = keep
-        for lr, lo in lowers:
-            for ur, uo in uppers:
-                # lower below upper: (lo - lr.x) < (uo - ur.x)
-                new.append(([uv - lv for lv, uv in zip(lr, ur)], uo - lo))
-        cur = new
-    for r, o in cur:
-        if not o > 0:
+    normals, offsets = np.atleast_2d(normals), np.atleast_1d(offsets)
+    n0 = normals.shape[1]
+    box = tuple(zip(-offsets[1:2 * n0:2], offsets[:2 * n0:2]))
+    root = _root_cell(box)
+    if not (np.array_equal(normals[:2 * n0], root.normals)
+            and all(lo < hi for lo, hi in box)):
+        raise ValueError("rows 0..2*n0-1 must be the rows of a box")
+    N, o = _fraction(normals), _fraction(offsets)
+    hull = (_fraction(root.vertices), root.tight)
+    for r in range(2 * n0, len(o)):
+        hull = _clip(*hull, N[r], o[r], r, 0)
+        if hull is None or hull[0] is None:  # empty, or no longer full-dimensional
             return False, None
-    # back-substitute a rational interior point
-    point: list[Fraction] = []
-    for var, (lowers, uppers) in zip(range(n), reversed(stack)):
-        lo_vals = [o - sum(c * x for c, x in zip(r, point)) for r, o in lowers]
-        up_vals = [o - sum(c * x for c, x in zip(r, point)) for r, o in uppers]
-        if lo_vals and up_vals:
-            val = (max(lo_vals) + min(up_vals)) / 2
-        elif up_vals:
-            val = min(up_vals) - 1
-        elif lo_vals:
-            val = max(lo_vals) + 1
-        else:
-            val = Fraction(0)
-        point.append(val)
-    return True, point
+    V = hull[0]
+    return True, (V.sum(axis=0) / len(V)).tolist()
+
+
+def _exact_slack(normals, offsets, x) -> Fraction:
+    """The smallest slack of the float point x over the rows, exactly."""
+    return (_fraction(offsets) - _fraction(normals) @ _fraction(x)).min()
 
 
 def _feasible_child(normals, offsets, cfg: FeasibilityConfig):
-    """Interior witness + clearance for the strict system, or None."""
+    """Interior witness + clearance for the strict system, or None.  In
+    exact mode the witness of a borderline child lies inside it exactly."""
     x, t = _max_slack_lp(normals, offsets)
     if x is None:
         raise EnumerationError("feasibility program failed to solve")
     if cfg.exact_rational and abs(t) <= 10 * cfg.feas_tol:
-        ok, point = exact_strictly_feasible(normals, offsets)
+        # the box rows, then the rows tightest at the LP point: those empty
+        # the clip soonest
+        key = offsets - normals @ x
+        key[:2 * normals.shape[1]] = -np.inf
+        order = np.argsort(key, kind="stable")
+        ok, point = exact_strictly_feasible(normals[order], offsets[order])
         if not ok:
             return None
-        if t > 0:
+        if t > 0 and _exact_slack(normals, offsets, x) > 0:
             return x, t
         w = np.array([float(v) for v in point])
-        slack = float(np.min(offsets - normals @ w))
-        if slack <= 0:  # rational point too close once rounded; fall back
-            return None
-        return w, slack
+        slack = _exact_slack(normals, offsets, w)
+        return (w, float(slack)) if slack > 0 else None
     if t > cfg.feas_tol:
         return x, t
     return None
@@ -283,16 +271,18 @@ def _clip(V, tight, row, off, r, margin):
 
     Returns None when every vertex misses the row by more than ``margin``:
     the child is empty.  Otherwise returns the child's (vertices, tight),
-    both None when the clip leaves no full-dimensional polytope."""
+    both None when the clip leaves no full-dimensional polytope.  Float
+    vertices are on the plane within a tolerance; ``Fraction`` vertices
+    (object arrays) only at slack 0, which makes every step exact."""
     s = off - V @ row
     top = s.max()
     if top < -margin:
         return None
-    tol = _ON_PLANE * max(1.0, float(np.abs(V).max()))
-    if s.min() >= -tol:
-        return V, tight
+    tol = 0 if V.dtype == object else _ON_PLANE * max(1.0, float(np.abs(V).max()))
     if top <= tol:
         return None, None
+    if s.min() >= -tol:
+        return V, tight
     n = V.shape[1]
     bit = 1 << r
     slack, pts = s.tolist(), V.tolist()

@@ -160,6 +160,16 @@ def test_index_out_of_range_is_an_input_error(abs_path, cmd, capsys, monkeypatch
     assert err.startswith("error: ") and "out of range" in err
 
 
+@pytest.mark.parametrize("cmd", [
+    ["linmap", "--layer", "7", "--unit", "0", "--points", "-"],
+    ["identify", "--layer", "7", "--unit", "0", "--x1", "0.7,0.2", "--x2=-0.9,0.2"],
+], ids=["linmap", "identify"])
+def test_readout_does_not_hide_a_bad_layer(abs_path, cmd, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.5,0.5\n-0.5,0.5\n"))
+    assert main([cmd[0], abs_path] + cmd[1:] + ["--readout", "1,1,0,0;0,0,1,1"]) == 2
+    assert capsys.readouterr().err == "error: layer 7 out of range\n"
+
+
 def test_verify_all_byte_identical(tmp_path, acceptance_seed0):
     # one CLI run against the session's own run of the suite: two
     # independent runs, compared byte for byte

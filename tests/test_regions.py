@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,8 +239,8 @@ WITNESSES_2D = {
 
 @pytest.mark.parametrize("name", sorted(WITNESSES_2D))
 def test_polygons_tile_the_box(name):
-    # exact mode keeps cones(2,3,3)'s sliver, which carries no vertices:
-    # its empty polygon leaves out an area far below the tolerance
+    # exact mode keeps cones(2,3,3)'s two slivers, which carry no vertices:
+    # their empty polygons leave out an area far below the tolerance
     rs = enumerate_regions(*_witness_cfg(WITNESSES_2D[name](), exact=True))
     (x0, x1), (y0, y1) = rs.box
     area = sum(polygon_area(p) for p in region_polygons_2d(rs))
@@ -305,20 +306,71 @@ def test_degenerate_rows_use_bias_sign():
     assert all(r.pattern[0][0] == 1 for r in rs.regions)
 
 
+def _boxed(normals, offsets, half=2.0):
+    """The system behind the box rows of [-half, half]^n0, in cell order."""
+    root = regions._root_cell(((-half, half),) * np.shape(normals)[1])
+    return np.vstack([root.normals, normals]), np.concatenate([root.offsets, offsets])
+
+
+def _exactly_inside(normals, offsets, point):
+    """Whether the point (floats or Fractions) satisfies every strict row
+    in exact arithmetic."""
+    x = [Fraction(v) for v in point]
+    return all(Fraction(o) - sum(Fraction(a) * v for a, v in zip(row, x)) > 0
+               for row, o in zip(normals.tolist(), offsets.tolist()))
+
+
 def test_exact_strictly_feasible():
     ok, point = exact_strictly_feasible(
-        np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0])
+        *_boxed(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0]))
     )
     assert ok
     x = [float(v) for v in point]
     assert x[0] > 0 and x[1] > 0 and x[0] + x[1] < 1
-    bad, none = exact_strictly_feasible(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
+    bad, none = exact_strictly_feasible(*_boxed(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0])))
     assert not bad and none is None
+    # a zero row with offset 0 (0 < 0) moves no vertex but empties the system
+    assert not exact_strictly_feasible(*_boxed(np.zeros((1, 2)), np.zeros(1)))[0]
+
+
+def test_exact_check_finishes_in_4d():
+    # twelve planes through one point, offsets rounded: the exact system is
+    # a sliver of slack ~1e-26, where the LP reads t = -0.0.  20 rows in 4-d
+    # is a borderline cell of an ordinary 4-d net; the check must finish.
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(12, 4))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    normals, offsets = _boxed(A, A @ (1e-9 * rng.normal(size=4)), half=1.0)
+    ok, point = exact_strictly_feasible(normals, offsets)
+    assert ok and _exactly_inside(normals, offsets, point)
+
+
+def test_exact_check_needs_the_box_rows():
+    with pytest.raises(ValueError, match="rows of a box"):
+        exact_strictly_feasible(np.array([[-1.0], [1.0], [1.0]]), np.array([0.0, 1.0, 2.0]))
 
 
 def test_exact_rational_backstop_keeps_counts():
     net = build_abs_net().network
     assert count_regions(net, FeasibilityConfig(exact_rational=True)) == 4
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: build_shi_layer(4), 125),
+    (lambda: build_catalan_layer(4), 336),
+], ids=["shi(4)", "catalan(4)"])
+def test_exact_mode_counts(make, count):
+    assert enumerate_regions(*_witness_cfg(make(), exact=True)).count == count
+
+
+def test_exact_mode_witnesses_are_exactly_inside():
+    # in float, the LP point of ((1,2),(0,2),(0,0)) clears t = 2.8e-14 but
+    # it lies 5.5e-15 outside in exact arithmetic; the sliver
+    # ((2,0),(0,2),(0,0)) is kept by the centroid of its exact vertices
+    rs = enumerate_regions(*_witness_cfg(build_maxout_cones(2, 3, 3), exact=True))
+    for r in rs.regions:
+        assert _exactly_inside(r.normals, r.offsets, r.witness.tolist())
+    assert rs.count == 115
 
 
 def test_oracle_matches_enumerator_on_shallow_nets():
@@ -356,17 +408,19 @@ def test_exact_feasibility_agrees_with_lp(data):
     """On small integer systems the rational decision matches the LP
     whenever the LP's optimum is comfortably signed."""
     m = data.draw(st.integers(min_value=1, max_value=4))
-    n = data.draw(st.integers(min_value=1, max_value=2))
+    n = data.draw(st.integers(min_value=1, max_value=4))
     ints = st.integers(min_value=-3, max_value=3)
     rows = np.array([[data.draw(ints) for _ in range(n)] for _ in range(m)], float)
     offs = np.array([data.draw(ints) for _ in range(m)], float)
     # normalize nonzero rows so the LP slack is scale-free
     keep = np.linalg.norm(rows, axis=1) > 0
     rows[keep] /= np.linalg.norm(rows[keep], axis=1, keepdims=True)
+    rows, offs = _boxed(rows, offs, half=data.draw(st.sampled_from([1.0, 4.0, 10.0])))
     feasible, witness = exact_strictly_feasible(rows, offs)
     if feasible:
         w = np.array([float(v) for v in witness])
         assert (rows @ w < offs + 1e-12).all()
+        assert _exactly_inside(rows, offs, witness)
     else:
         from pwlregions.regions import _max_slack_lp
 
