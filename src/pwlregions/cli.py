@@ -294,7 +294,8 @@ def _add_enum_flags(p):
     p.add_argument("--cap", type=int, metavar="N",
                    help="abort once more than N regions are alive (exit 3)")
     p.add_argument("--exact-rational", action="store_true",
-                   help="recheck borderline cells in exact rational arithmetic")
+                   help="count every cell that is non-empty in exact rational "
+                        "arithmetic, however thin")
 
 
 def build_parser() -> argparse.ArgumentParser:

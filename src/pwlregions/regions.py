@@ -4,33 +4,33 @@ The enumerator walks the stack layer by layer.  Every region is an open
 polyhedron of the input box, carried as strict inequalities
 ``normal . x < offset`` (rows unit-normalized), together with the affine
 map the processed sub-network applies on it, the activation pattern that
-produced it, and an interior witness point with a clearance radius
+produced it, its vertices, and an interior witness point with a clearance
 certifying full dimension.
 
 Each rectifier unit folds back to a single input-space hyperplane per
 region; each rank-k maxout unit yields k candidate children, one per
 branch, cut out by the k-1 strict dominance inequalities.  A child
-survives iff a max-slack feasibility program finds an interior point
-whose smallest normalized slack exceeds ``feas_tol``; the optimizer of
-that program doubles as the stored witness.
+survives iff its Chebyshev radius (the largest ball inside it) exceeds
+``feas_tol``.
 
-Most children are empty: the new hyperplane misses the cell.  Every cell
-therefore also carries its vertices (the box corners at the root), each
-with a bitmask of the rows tight there.  A child is cut from its parent's
-vertices one new row at a time; if every remaining vertex misses a row by
-more than 10*feas_tol, the child is empty and no program runs.  A child
-that survives gets its vertices from the same clip, a double-description
-step: kept vertices stay, and each edge from a kept to a dropped vertex
-gives one new vertex on the hyperplane.  The program remains the only
-source of witnesses, so skipping it changes no count, pattern or witness.
-A clip that degenerates leaves the child without vertices; it and its
-descendants then rely on the program alone.  The final cells hand their
-vertices to their regions, and the 2-d polygons are read from them.
+Every cell carries its vertices (the box corners at the root), each with
+a bitmask of the rows tight there.  A child is cut from its parent's
+vertices one new row at a time, in a double-description step: kept
+vertices stay, and each edge from a kept to a dropped vertex gives one new
+vertex on the hyperplane.  If every remaining vertex misses a row by more
+than 10*feas_tol, the child is empty.  Otherwise its witness is the
+centroid of its vertices, and its clearance the centroid's smallest slack,
+a lower bound on the Chebyshev radius: if that exceeds ``feas_tol`` the
+child survives.  The rest (thin children, and children whose clip
+degenerated, which carry no vertices) are decided by the same clip run
+in ``Fraction`` arithmetic from the box corners, on the rows pulled in by
+``feas_tol``: the child survives iff that system is non-empty, and its
+witness is the rounded centroid of the exact vertices, kept only if its
+exact slack exceeds ``feas_tol``.  The final cells hand their vertices to
+their regions, and the 2-d polygons are read from them.
 
-In exact mode the same clip, run in ``Fraction`` arithmetic from the box
-corners, decides every borderline outcome of the program, and the witness
-kept is one strictly inside every row in exact arithmetic: the optimizer
-if it is, else the rounded centroid of the exact vertices.
+In exact mode the margin is 0: a child survives iff it is non-empty in
+exact arithmetic with its witness strictly inside every row.
 
 Counts depend on the box: cells that only exist beyond it are not seen.
 Constructed witnesses whose predicted counts are exact therefore carry
@@ -40,11 +40,11 @@ the box on which exactness holds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .network import (
     AffineMap,
@@ -81,8 +81,9 @@ class FeasibilityConfig:
                    overrides it with explicit per-dimension bounds
     feas_tol       smallest normalized slack that counts as full-dimensional
     region_cap     hard limit on live regions
-    exact_rational re-check borderline feasibility outcomes (|t*| within
-                   10x feas_tol) by clipping the cell in Fraction arithmetic
+    exact_rational count every cell that is non-empty in exact arithmetic:
+                   the exact clip of a thin child keeps it at margin 0, not
+                   at feas_tol
     """
 
     box_halfwidth: float = 1e3
@@ -92,18 +93,20 @@ class FeasibilityConfig:
     box: Box | None = None
 
     def resolved_box(self, n0: int) -> Box:
-        if self.box is not None:
+        if self.box is None:
+            B = float(self.box_halfwidth)
+            box = ((-B, B),) * n0
+        else:
             box = tuple((float(lo), float(hi)) for lo, hi in self.box)
             if len(box) != n0:
                 raise ValueError(f"box has {len(box)} dimensions, network has {n0}")
-            for lo, hi in box:
-                if not lo < hi:
-                    raise ValueError("box bounds must satisfy lo < hi")
-            return box
-        B = float(self.box_halfwidth)
-        if not B > 0:
-            raise ValueError("box_halfwidth must be positive")
-        return tuple((-B, B) for _ in range(n0))
+        for lo, hi in box:
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box side [{lo:g}, {hi:g}] is not finite")
+            if not hi - lo > 2 * self.feas_tol:
+                raise ValueError(f"box side [{lo:g}, {hi:g}] is not wider than "
+                                 f"2*feas_tol = {2 * self.feas_tol:g}")
+        return box
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +118,7 @@ class Region:
     pattern: tuple             # per-layer tuples of unit states
     affine: AffineMap          # input -> activations of the last processed layer
     witness: np.ndarray
-    clearance: float
+    clearance: float                    # smallest slack of the witness over the rows
     vertices: np.ndarray | None = None  # (k, n0), None if the clip degenerated
     tight: list[int] | None = None      # per vertex, bit j: cut on row j (see _Cell)
 
@@ -135,22 +138,9 @@ class RegionSet:
 
 
 # ---------------------------------------------------------------------------
-# feasibility: float LP with an optional exact clip as backstop
+# feasibility: vertex centroids, with the exact clip as backstop
 
 _ZERO_ROW = 1e-12
-
-
-def _max_slack_lp(normals: np.ndarray, offsets: np.ndarray):
-    """maximize t s.t. normals@x + t <= offsets.  Rows are unit-normalized,
-    so t* is the Chebyshev-style clearance radius (negative if empty)."""
-    m, n = normals.shape
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A = np.hstack([normals, np.ones((m, 1))])
-    res = linprog(c, A_ub=A, b_ub=offsets, bounds=[(None, None)] * (n + 1), method="highs")
-    if res.status != 0:
-        return None, None
-    return res.x[:n].copy(), float(res.x[n])
 
 
 # Fraction of every element of a float array, as an object array: exact.
@@ -185,34 +175,33 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
     return True, (V.sum(axis=0) / len(V)).tolist()
 
 
-def _exact_slack(normals, offsets, x) -> Fraction:
-    """The smallest slack of the float point x over the rows, exactly."""
-    return (_fraction(offsets) - _fraction(normals) @ _fraction(x)).min()
+def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
+    """Witness + clearance for the strict system, or None when its
+    Chebyshev radius is at most ``feas_tol`` (in exact mode: when it is
+    empty in exact arithmetic).
 
-
-def _feasible_child(normals, offsets, cfg: FeasibilityConfig):
-    """Interior witness + clearance for the strict system, or None.  In
-    exact mode the witness of a borderline child lies inside it exactly."""
-    x, t = _max_slack_lp(normals, offsets)
-    if x is None:
-        raise EnumerationError("feasibility program failed to solve")
-    if cfg.exact_rational and abs(t) <= 10 * cfg.feas_tol:
-        # the box rows, then the rows tightest at the LP point: those empty
-        # the clip soonest
-        key = offsets - normals @ x
-        key[:2 * normals.shape[1]] = -np.inf
-        order = np.argsort(key, kind="stable")
-        ok, point = exact_strictly_feasible(normals[order], offsets[order])
-        if not ok:
-            return None
-        if t > 0 and _exact_slack(normals, offsets, x) > 0:
-            return x, t
-        w = np.array([float(v) for v in point])
-        slack = _exact_slack(normals, offsets, w)
-        return (w, float(slack)) if slack > 0 else None
-    if t > cfg.feas_tol:
-        return x, t
-    return None
+    The witness is the centroid of the child's vertices ``V`` when its
+    smallest slack exceeds ``feas_tol``.  Otherwise the exact clip decides
+    the system with every row pulled in by the margin, and the rounded
+    exact centroid is kept if its exact slack exceeds the margin.  Rows
+    tightest at ``anchor`` (the parent's witness) go first: they empty the
+    clip soonest.
+    """
+    if V is not None:
+        w = V.mean(axis=0)
+        s = float((offsets - normals @ w).min())
+        if s > cfg.feas_tol:
+            return w, s
+    margin = 0.0 if cfg.exact_rational else cfg.feas_tol
+    key = offsets - normals @ anchor
+    key[:2 * normals.shape[1]] = -np.inf
+    order = np.argsort(key, kind="stable")
+    ok, point = exact_strictly_feasible(normals[order], offsets[order] - margin)
+    if not ok:
+        return None
+    w = np.array([float(v) for v in point])
+    slack = (_fraction(offsets) - _fraction(normals) @ _fraction(w)).min()
+    return (w, float(slack)) if slack > margin else None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +221,8 @@ class _Cell:
         self.witness = witness
         self.clearance = clearance
         # Vertices of the closed cell, (k, n0), or None once a clip has
-        # degenerated: the cell and its descendants then rely on the LP alone.
+        # degenerated: the cell and its descendants then rely on the exact
+        # clip alone.
         self.vertices = vertices
         # Per vertex, a bitmask of the rows tight there: bit j is set iff
         # the vertex lies on row j.  A row that cuts nothing off sets no
@@ -260,9 +250,9 @@ def _root_cell(box: Box) -> _Cell:
     V = np.array(list(itertools.product(*box)), float)
     tight = [sum(1 << (2 * i + (x == lo)) for i, (x, (lo, _)) in enumerate(zip(v, box)))
              for v in V.tolist()]
-    center = np.array([(lo + hi) / 2 for lo, hi in box])
     clearance = min((hi - lo) / 2 for lo, hi in box)
-    return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), center, clearance, V, tight)
+    return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), V.mean(axis=0), clearance,
+                 V, tight)
 
 
 def _clip(V, tight, row, off, r, margin):
@@ -316,28 +306,22 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
     """Feasibility of cell + new strict rows.  Returns (witness, clearance,
     vertices, tight) of the child, or None when it is empty.
 
-    The parent witness is reused when it already sits strictly inside.
     The parent's vertices are clipped by each new row in turn; when every
-    vertex left misses a row by more than 10*feas_tol, the child is empty
-    without an LP.  The LP decides the rest.
+    vertex left misses a row by more than 10*feas_tol, the child is empty.
+    ``_feasible_child`` decides the rest.
     """
     if not new_rows:
         return cell.witness, cell.clearance, cell.vertices, cell.tight
-    worst = min(off - row @ cell.witness for row, off in new_rows)
     hull = (cell.vertices, cell.tight)
     for j, (row, off) in enumerate(new_rows):
         if hull[0] is None:
             break
         hull = _clip(*hull, row, off, len(cell.offsets) + j, 10 * cfg.feas_tol)
         if hull is None:
-            break
-    if worst > cfg.feas_tol:
-        return (cell.witness, min(cell.clearance, worst)) + (hull or (None, None))
-    if hull is None:
-        return None
+            return None
     normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
     offsets = np.concatenate([cell.offsets, [o for _, o in new_rows]])
-    got = _feasible_child(normals, offsets, cfg)
+    got = _feasible_child(normals, offsets, hull[0], cell.witness, cfg)
     return None if got is None else got + hull
 
 

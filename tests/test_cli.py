@@ -8,7 +8,7 @@ import pytest
 
 from pwlregions.acceptance import format_table
 from pwlregions.cli import main
-from pwlregions.network import load_network, save_network
+from pwlregions.network import Layer, Network, load_network, save_network
 from pwlregions.constructions import build_abs_net
 
 
@@ -103,6 +103,29 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert main(["construct", "--kind", "sawtooth", "--p", "3", "-o", str(net)]) == 0
     assert main(["oracle", str(net), "--box=-1,4", "--step", "1e-3"]) == 0
     assert capsys.readouterr().out == "4\n"
+
+
+@pytest.mark.parametrize("cmd, box, message", [
+    ("enumerate", "inf", "is not finite"),
+    ("oracle", "inf", "is not finite"),
+    ("enumerate", "0,1;-inf,1", "is not finite"),
+    ("enumerate", "1e-300", "2*feas_tol"),
+    ("oracle", "1e-300", "2*feas_tol"),
+], ids=["enumerate-inf", "oracle-inf", "enumerate-inf-pair", "enumerate-narrow",
+        "oracle-narrow"])
+def test_box_must_be_finite_and_wide(abs_path, cmd, box, message, capsys):
+    assert main([cmd, abs_path, f"--box={box}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: box side") and message in err
+
+
+def test_enumerate_huge_box(tmp_path, capsys):
+    # the axes x = 0 and y = 0 cut a box of halfwidth 1e300 into 4 quadrants
+    net = tmp_path / "axes.json"
+    save_network(Network(2, (Layer(np.eye(2), np.zeros(2)),)), str(net))
+    assert main(["enumerate", str(net), "--box", "1e300", "--expect", "4",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out == "regions: 4\n"
 
 
 def test_regions2d_exports(abs_path, tmp_path, capsys):

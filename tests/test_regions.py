@@ -2,12 +2,17 @@
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from pwlregions import regions
@@ -22,7 +27,7 @@ from pwlregions.constructions import (
     build_shi_layer,
     sawtooth_network,
 )
-from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward, maxout
+from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward, maxout, pattern_code
 from pwlregions.regions import (
     EnumerationError,
     FeasibilityConfig,
@@ -35,7 +40,13 @@ from pwlregions.regions import (
     polygon_area,
     region_polygons_2d,
 )
-from pwlregions.reports import region_svg, render_region_report, write_polygon_csv
+from pwlregions.reports import (
+    region_report,
+    region_svg,
+    render_region_report,
+    write_polygon_csv,
+)
+from pwlregions.serialize import render_json
 
 BOX2 = FeasibilityConfig(box=((-2.0, 2.0), (-2.0, 2.0)))
 
@@ -122,22 +133,22 @@ def _random_net(seed, n0, widths, rank=1):
 
 BOX10 = FeasibilityConfig(box_halfwidth=10.0)
 
-# Region counts and SHA-256 of the rendered region reports, recorded before
-# cells carried vertices: skipping LPs must not move a single byte.
+# Region counts and SHA-256 of the rendered region reports, witnesses
+# included, recorded once witnesses became vertex centroids.
 GOLDEN_REPORTS = {
     "rect-2-8-8": (lambda: (_random_net(1, 2, (8, 8)), BOX10),
-                   104, "a8da8cd3de04e16e8ca09eaca37e62112fbfe2bd16c3e813acbff425fe61e150"),
+                   104, "bd8d24b4b613445ef9c938e88cac5ba985ae0e40e96d2971cf5f6a349e3123b0"),
     "rect-3-6-6": (lambda: (_random_net(2, 3, (6, 6)), BOX10),
-                   239, "3f58639b2ebf19dbca0b7ad81a727ec21f7be45f762743e887e2804fced6af1f"),
+                   239, "17d955fd585a7e047ae9158f56e21ebeffffd1142a55d3701d1add08ec693c31"),
     "rect-4-4-4": (lambda: (_random_net(3, 4, (4, 4)), BOX10),
-                   94, "da8c3c37e7d839fd2f9a160602790fde5732d63b927d8dcd85b3bedca206e467"),
+                   94, "72695d1306537dbfd9e6f641029ccdd010da5323de60ad7c1de0fc3a32b01611"),
     "maxout3-2-3-3": (lambda: (_random_net(4, 2, (3, 3), rank=3), BOX10),
-                      47, "0469cd63c44c1650458e6f8f4209d1c79cbf1997387b4fc6fdba03137483feb1"),
+                      47, "101b750b251f76114da109fa53e073c39589690e6c9110faa0e1c0db4c6836ce"),
     "scale10": (lambda: (_scale10_net(), FeasibilityConfig()),
-                290, "2254055271823d521cd4a985bd54d308179f24daaa43daacc22d3f8d915bd6c0"),
+                290, "6de947fa8ccd481fcd9a9a6be97fffb0e1843a434d2f8c02a4519164b1289237"),
     "shi3-exact": (lambda: (build_shi_layer(3).network,
                             FeasibilityConfig(exact_rational=True)),
-                   16, "672df7264626951832e29ad5677ae0eaff08789550776437d946498300e82ad4"),
+                   16, "99674b3f394c739d21a2bad982e5344d09716f1c81bae1581d39adf6f843aece"),
 }
 
 
@@ -149,32 +160,66 @@ def test_reports_byte_identical(name):
     assert hashlib.sha256(render_region_report(rs).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("net, general", [
-    (_random_net(1, 2, (8, 8)), True),
-    (_random_net(3, 4, (4, 4)), True),
-    (build_shi_layer(4).network, False),  # concurrent planes: non-simple vertices
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_without_witnesses(rs) -> str:
+    report = region_report(rs)
+    for region in report["regions"]:
+        del region["witness"]
+    return render_json(report)
+
+
+# SHA-256 of the same reports with every region's witness left out, recorded
+# while witnesses still came from a max-slack LP: where a witness comes from
+# must not move a count, pattern, map or row.
+GOLDEN_REPORTS_WITHOUT_WITNESSES = {
+    "rect-2-8-8": "93988635b2eaa0a0f11aeb09bddfc3067a93937fb246df167b7c65234441615e",
+    "rect-3-6-6": "271136eb76eca9b46182d8b4453e1f027a15f14ec9f66f5b0c9d703d8936663a",
+    "rect-4-4-4": "2f9aa379563338aa93fb632be3f8195ad39f1c1ca1cd2ec0d4315527afe8f79c",
+    "maxout3-2-3-3": "378aa5d11de5781a644060ce58f9b7adf1e466dc76ef36431b1475860e46007b",
+    "scale10": "22a1949c4eaabd3c94d728eaf85a88dd9125bd3b0cafbd609ecb5cd6e3ef474a",
+    "shi3-exact": "10464ecc220b2342341f9dadf6af1b81395006fef808805e314e1d12ebd9c604",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_identical_apart_from_witnesses(name):
+    make, count, _ = GOLDEN_REPORTS[name]
+    rs = enumerate_regions(*make())
+    assert rs.count == count
+    assert _sha256(_report_without_witnesses(rs)) == GOLDEN_REPORTS_WITHOUT_WITNESSES[name]
+
+
+@pytest.mark.parametrize("net, exact_calls", [
+    (_random_net(1, 2, (8, 8)), 0),
+    (_random_net(3, 4, (4, 4)), 0),
+    (build_shi_layer(4).network, 116),  # concurrent planes: non-simple vertices
 ], ids=["2d", "4d", "shi4"])
-def test_carried_vertices(net, general, monkeypatch):
-    """On nets in general position every LP finds a child: the vertices
-    prove every empty one.  On every net each region's vertices satisfy
-    its rows, lie on the rows their masks name, and their hulls tile the
-    box with no point to spare: no vertex went missing and none is
-    redundant."""
-    lps = []
-    true_linprog = regions.linprog
+def test_carried_vertices(net, exact_calls, monkeypatch):
+    """On nets in general position no child needs the exact clip: the
+    vertices prove every empty child, and the centroid certifies every
+    other; on shi(4) it drops the children that only touch a vertex.  On
+    every net each region's witness is the centroid of its vertices, which
+    satisfy its rows, lie on the rows their masks name, and whose hulls
+    tile the box with no point to spare: no vertex went missing and none
+    is redundant."""
+    calls = []
+    true_exact = regions.exact_strictly_feasible
 
-    def linprog(*args, **kwargs):
-        res = true_linprog(*args, **kwargs)
-        lps.append(res.status == 0 and res.x[-1] > BOX10.feas_tol)
-        return res
+    def exact_strictly_feasible(*args):
+        calls.append(args)
+        return true_exact(*args)
 
-    monkeypatch.setattr(regions, "linprog", linprog)
+    monkeypatch.setattr(regions, "exact_strictly_feasible", exact_strictly_feasible)
     rs = enumerate_regions(net, BOX10)
-    assert lps and (all(lps) or not general)
+    assert len(calls) == exact_calls
     scale = 10.0
     volume = 0.0
     for r in rs.regions:
         assert r.vertices is not None and len(r.tight) == len(r.vertices)
+        assert np.array_equal(r.witness, r.vertices.mean(axis=0))
         slack = r.offsets[None, :] - r.vertices @ r.normals.T
         assert slack.min() >= -1e-9 * scale
         for s, mask in zip(slack, r.tight):
@@ -190,18 +235,18 @@ def _witness_cfg(con, exact=False):
     return con.network, FeasibilityConfig(box=con.spec.count_box, exact_rational=exact)
 
 
-# SHA-256 of the polygon CSV followed by the SVG, recorded while polygons
-# still came from a search over pairs of bounding lines: reading the
-# carried vertices must not move a byte.
+# SHA-256 of the polygon CSV followed by the SVG.  Each polygon's listing
+# starts at an angle around the witness, and the SVG draws the witness:
+# all but abs were recorded again once witnesses became vertex centroids.
 GOLDEN_POLYGONS = {
     "abs": (lambda: _witness_cfg(build_abs_net()),
             "91fcb50eb955251bbff4b0f32a14e26be4534e2d255b6bb6b549ae394d20888b"),
     "folding-2-4-4": (lambda: _witness_cfg(build_folding_rectifier_net(2, (4, 4))),
-                      "2cf8798b558fd7d52b488e60421911f62e48794359d4627a5afce11f06c58e43"),
+                      "92f990dd61fe114de6a79dbb6275f2999dfd31d0fc4defd486dac775eac064f8"),
     "cones-2-2-4-exact": (lambda: _witness_cfg(build_maxout_cones(2, 2, 4), exact=True),
-                          "2dba6d560f3f4bcadf9051f7552f5b8c3927b6f40681ec9cb9f847e2de58584b"),
+                          "f6a574c551304ab32524657900eecf0e902c1f0e279d1be9435e46bd513afa6c"),
     "rect-2-8-8": (lambda: (_random_net(1, 2, (8, 8)), BOX10),
-                   "366ee58e39370619584b6a7ed225d68da85fac64a1646ffbf75e42c184cb79f5"),
+                   "d7e493ed2d37b4283ad24764bf0c4176cb566ddf901bc280fe47ec7f59adfebc"),
 }
 
 
@@ -214,6 +259,31 @@ def test_polygon_exports_byte_identical(name):
     write_polygon_csv(rs, csv, polygons)
     blob = csv.getvalue() + region_svg(rs, polygons)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _polygon_vertex_sets(rs, polygons) -> str:
+    """Each region's pattern and its polygon's vertices in sorted order:
+    what the polygons are, not where their listing starts."""
+    return "".join(
+        pattern_code(r.pattern) + "".join(f";{x:.17g},{y:.17g}" for x, y in sorted(p.tolist()))
+        + "\n" for r, p in zip(rs.regions, polygons))
+
+
+# SHA-256 of _polygon_vertex_sets for the same enumerations, recorded while
+# witnesses still came from a max-slack LP.
+GOLDEN_POLYGON_VERTEX_SETS = {
+    "abs": "2241f32bf199ed32375958852965e49a2944cb185875cb66b525c37b2979ee5b",
+    "folding-2-4-4": "20c6722ce3f804c0a506de6a5c6f6975d115a17633faa90c16107b73e06710c6",
+    "cones-2-2-4-exact": "8300c6fb9bd5485cbf9a81b2c51a3d94b58bc9815abf2eb8ec088fb317b694fd",
+    "rect-2-8-8": "798f1c0c02b53d92915ef38aa49d3e467cb9de55628fdfeeeb2588a1b32a7d4d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POLYGONS))
+def test_polygons_identical_apart_from_witnesses(name):
+    rs = enumerate_regions(*GOLDEN_POLYGONS[name][0]())
+    digest = _sha256(_polygon_vertex_sets(rs, region_polygons_2d(rs)))
+    assert digest == GOLDEN_POLYGON_VERTEX_SETS[name]
 
 
 WITNESSES_2D = {
@@ -242,6 +312,8 @@ def test_polygons_tile_the_box(name):
     # exact mode keeps cones(2,3,3)'s two slivers, which carry no vertices:
     # their empty polygons leave out an area far below the tolerance
     rs = enumerate_regions(*_witness_cfg(WITNESSES_2D[name](), exact=True))
+    for r in rs.regions:
+        assert _exactly_inside(r.normals, r.offsets, r.witness.tolist())
     (x0, x1), (y0, y1) = rs.box
     area = sum(polygon_area(p) for p in region_polygons_2d(rs))
     assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-9)
@@ -291,6 +363,16 @@ def test_config_validation():
         FeasibilityConfig(box=((1.0, 0.0),)).resolved_box(1)
     with pytest.raises(ValueError):
         FeasibilityConfig(box_halfwidth=0.0).resolved_box(1)
+    # non-finite bounds, and sides too narrow to hold a ball of radius feas_tol
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            FeasibilityConfig(box_halfwidth=bad).resolved_box(1)
+        with pytest.raises(ValueError, match="not finite"):
+            FeasibilityConfig(box=((0.0, 1.0), (-bad, 1.0))).resolved_box(2)
+    with pytest.raises(ValueError, match="feas_tol"):
+        FeasibilityConfig(box_halfwidth=1e-300).resolved_box(1)
+    with pytest.raises(ValueError, match="feas_tol"):
+        FeasibilityConfig(box=((0.0, 2e-7),)).resolved_box(1)
     big = Network(5, (Layer(np.ones((1, 5)), np.zeros(1)),))
     with pytest.raises(ValueError):
         enumerate_regions(big)
@@ -360,7 +442,10 @@ def test_exact_rational_backstop_keeps_counts():
     (lambda: build_catalan_layer(4), 336),
 ], ids=["shi(4)", "catalan(4)"])
 def test_exact_mode_counts(make, count):
-    assert enumerate_regions(*_witness_cfg(make(), exact=True)).count == count
+    rs = enumerate_regions(*_witness_cfg(make(), exact=True))
+    assert rs.count == count
+    for r in rs.regions:
+        assert _exactly_inside(r.normals, r.offsets, r.witness.tolist())
 
 
 def test_exact_mode_witnesses_are_exactly_inside():
@@ -402,19 +487,41 @@ def test_general_position_checks():
     assert not check_general_position(concurrent, 2)
 
 
+def _max_slack_lp(normals, offsets) -> float:
+    """Reference: max t s.t. normals@x + t <= offsets.  Rows are
+    unit-normalized, so t* is the Chebyshev radius (negative if empty).
+    HiGHS runs at its tightest tolerances: at its default 1e-7 it reports
+    t* = 1.1e-7 for a slab 1.5e-7 wide."""
+    m, n = normals.shape
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    A = np.hstack([normals, np.ones((m, 1))])
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(c, A_ub=A, b_ub=offsets, bounds=[(None, None)] * (n + 1), method="highs",
+                  options=tight)
+    assert res.status == 0
+    return float(res.x[n])
+
+
+def _integer_rows(data, max_rows):
+    """Random integer rows in 1-4 dimensions; zero rows are kept, the
+    others unit-normalized so that the LP slack is scale-free."""
+    m = data.draw(st.integers(min_value=1, max_value=max_rows))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    ints = st.integers(min_value=-3, max_value=3)
+    rows = np.array([[data.draw(ints) for _ in range(n)] for _ in range(m)], float)
+    keep = np.linalg.norm(rows, axis=1) > 0
+    rows[keep] /= np.linalg.norm(rows[keep], axis=1, keepdims=True)
+    return rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_exact_feasibility_agrees_with_lp(data):
     """On small integer systems the rational decision matches the LP
     whenever the LP's optimum is comfortably signed."""
-    m = data.draw(st.integers(min_value=1, max_value=4))
-    n = data.draw(st.integers(min_value=1, max_value=4))
-    ints = st.integers(min_value=-3, max_value=3)
-    rows = np.array([[data.draw(ints) for _ in range(n)] for _ in range(m)], float)
-    offs = np.array([data.draw(ints) for _ in range(m)], float)
-    # normalize nonzero rows so the LP slack is scale-free
-    keep = np.linalg.norm(rows, axis=1) > 0
-    rows[keep] /= np.linalg.norm(rows[keep], axis=1, keepdims=True)
+    rows = _integer_rows(data, 4)
+    offs = np.array([data.draw(st.integers(min_value=-3, max_value=3)) for _ in rows], float)
     rows, offs = _boxed(rows, offs, half=data.draw(st.sampled_from([1.0, 4.0, 10.0])))
     feasible, witness = exact_strictly_feasible(rows, offs)
     if feasible:
@@ -422,7 +529,37 @@ def test_exact_feasibility_agrees_with_lp(data):
         assert (rows @ w < offs + 1e-12).all()
         assert _exactly_inside(rows, offs, witness)
     else:
-        from pwlregions.regions import _max_slack_lp
+        assert _max_slack_lp(rows, offs) <= 1e-9
 
-        x, t = _max_slack_lp(rows, offs)
-        assert x is None or t <= 1e-9
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_feasible_child_keeps_what_the_lp_keeps(data):
+    """Without vertices, a child is decided by the exact clip alone: it is
+    kept iff the LP's Chebyshev radius exceeds feas_tol, also for offsets
+    within a few feas_tol of an integer."""
+    rows = _integer_rows(data, 6)
+    # in half the systems every offset is near 0: rows that span around the
+    # origin then cut out a sliver whose radius is a few feas_tol
+    coarse = data.draw(st.sampled_from([0, 1]))
+    steps = st.sampled_from([-2, -1, -0.5, 0, 0.5, 1, 2])
+    offs = np.array([coarse * data.draw(st.integers(min_value=-3, max_value=3))
+                     + data.draw(steps) * 1e-7 for _ in rows])
+    rows, offs = _boxed(rows, offs, half=data.draw(st.sampled_from([1.0, 4.0, 10.0])))
+    cfg = FeasibilityConfig()
+    t = _max_slack_lp(rows, offs)
+    assume(abs(t - cfg.feas_tol) >= 1e-9)
+    got = regions._feasible_child(rows, offs, None, np.zeros(rows.shape[1]), cfg)
+    assert (got is not None) == (t > cfg.feas_tol)
+    if got is not None:
+        w, clearance = got
+        assert clearance > cfg.feas_tol
+        assert _exactly_inside(rows, offs, w.tolist())
+
+
+def test_import_needs_no_scipy():
+    src = Path(regions.__file__).parents[1]
+    code = "import sys, pwlregions; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == "False\n"
