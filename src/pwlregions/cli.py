@@ -221,6 +221,8 @@ def cmd_oracle(args) -> int:
     cfg = _feasibility(args, net.input_dim)
     box = cfg.resolved_box(net.input_dim)
     if args.step is not None:
+        if not 0 < args.step < np.inf:
+            raise ValueError("--step must be a positive number")
         span = box[0][1] - box[0][0]
         resolution = max(2, round(span / args.step))
     else:

@@ -308,17 +308,6 @@ def build_folding_rectifier_net(
     return Construction(net, spec, readout=readout, stages=tuple(stages))
 
 
-def folding_reference_forward(stages, x) -> np.ndarray:
-    """Evaluate a folding construction through explicit intermediary
-    mixing steps (folded coordinates materialized between layers)
-    instead of the absorbed weights."""
-    u = np.asarray(x, float)
-    for rows, bias, mix in stages:
-        a = np.maximum(rows @ u + bias, 0.0)
-        u = mix @ a if mix is not None else a
-    return u
-
-
 # ---------------------------------------------------------------------------
 # small classic examples
 

@@ -94,10 +94,6 @@ class Layer:
     def fan_in(self) -> int:
         return self.weights.shape[1]
 
-    def unit_rows(self, j: int) -> slice:
-        k = self.activation.rank
-        return slice(j * k, (j + 1) * k)
-
 
 @dataclass(frozen=True, eq=False)
 class Network:
@@ -396,15 +392,3 @@ def load_network(fp: IO[str] | str) -> Network:
         raise NetworkFormatError(f"not valid JSON: {e}") from e
     return network_from_dict(doc)
 
-
-def networks_equal(a: Network, b: Network) -> bool:
-    if a.input_dim != b.input_dim or a.depth != b.depth:
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.activation != lb.activation:
-            return False
-        if la.weights.shape != lb.weights.shape:
-            return False
-        if not (la.weights == lb.weights).all() or not (la.bias == lb.bias).all():
-            return False
-    return True

@@ -21,12 +21,14 @@ vertex on the hyperplane.  If every remaining vertex misses a row by more
 than 10*feas_tol, the child is empty.  Otherwise its witness is the
 centroid of its vertices, and its clearance the centroid's smallest slack,
 a lower bound on the Chebyshev radius: if that exceeds ``feas_tol`` the
-child survives.  The rest (thin children, and children whose clip
-degenerated, which carry no vertices) are decided by the same clip run
-in ``Fraction`` arithmetic from the box corners, on the rows pulled in by
-``feas_tol``: the child survives iff that system is non-empty, and its
-witness is the rounded centroid of the exact vertices, kept only if its
-exact slack exceeds ``feas_tol``.  The final cells hand their vertices to
+child survives.  A rectifier plane that misses a cell by more than
+10*feas_tol, on a cell whose witness is its vertex centroid, runs no clip:
+the one child keeps the parent's vertices and witness.  The rest (thin
+children, and children whose clip degenerated, which carry no vertices)
+are decided by the same clip run in ``Fraction`` arithmetic from the box
+corners, on the rows pulled in by ``feas_tol``: the child survives iff
+that system is non-empty, and its witness is the rounded centroid of the
+exact vertices, kept only if its exact slack exceeds ``feas_tol``.  The final cells hand their vertices to
 their regions, and the 2-d polygons are read from them.
 
 In exact mode the margin is 0: a child survives iff it is non-empty in
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -61,10 +63,9 @@ Box = tuple[tuple[float, float], ...]
 class RegionBudgetError(RuntimeError):
     """Region cap exceeded; ``partial_count`` holds the count so far."""
 
-    def __init__(self, partial_count: int, cap: int):
-        super().__init__(
-            f"region budget exhausted: more than {cap} regions ({partial_count} held)"
-        )
+    def __init__(self, partial_count: int, cap: int, where: str = ""):
+        super().__init__(f"region budget exhausted: more than {cap} regions "
+                         f"({partial_count} held)" + (f" at {where}" if where else ""))
         self.partial_count = partial_count
         self.cap = cap
 
@@ -168,7 +169,7 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
     N, o = _fraction(normals), _fraction(offsets)
     hull = (_fraction(root.vertices), root.tight)
     for r in range(2 * n0, len(o)):
-        hull = _clip(*hull, N[r], o[r], r, 0)
+        hull = _clip(*hull, o[r] - hull[0] @ N[r], r, 0)
         if hull is None or hull[0] is None:  # empty, or no longer full-dimensional
             return False, None
     V = hull[0]
@@ -176,9 +177,9 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
 
 
 def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
-    """Witness + clearance for the strict system, or None when its
-    Chebyshev radius is at most ``feas_tol`` (in exact mode: when it is
-    empty in exact arithmetic).
+    """(witness, clearance, whether the witness is the centroid of ``V``)
+    for the strict system, or None when its Chebyshev radius is at most
+    ``feas_tol`` (in exact mode: when it is empty in exact arithmetic).
 
     The witness is the centroid of the child's vertices ``V`` when its
     smallest slack exceeds ``feas_tol``.  Otherwise the exact clip decides
@@ -191,7 +192,7 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
         w = V.mean(axis=0)
         s = float((offsets - normals @ w).min())
         if s > cfg.feas_tol:
-            return w, s
+            return w, s, True
     margin = 0.0 if cfg.exact_rational else cfg.feas_tol
     key = offsets - normals @ anchor
     key[:2 * normals.shape[1]] = -np.inf
@@ -201,34 +202,31 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
         return None
     w = np.array([float(v) for v in point])
     slack = (_fraction(offsets) - _fraction(normals) @ _fraction(w)).min()
-    return (w, float(slack)) if slack > margin else None
+    return (w, float(slack), False) if slack > margin else None
 
 
 # ---------------------------------------------------------------------------
 # subdivision
 
+@dataclass(slots=True, eq=False)
 class _Cell:
-    __slots__ = ("normals", "offsets", "pattern", "A", "c", "witness", "clearance",
-                 "vertices", "tight")
-
-    def __init__(self, normals, offsets, pattern, A, c, witness, clearance,
-                 vertices, tight):
-        self.normals = normals      # list of 1-d arrays (unit rows)
-        self.offsets = offsets      # list of floats
-        self.pattern = pattern      # list of per-layer tuples
-        self.A = A                  # input -> current activations
-        self.c = c
-        self.witness = witness
-        self.clearance = clearance
-        # Vertices of the closed cell, (k, n0), or None once a clip has
-        # degenerated: the cell and its descendants then rely on the exact
-        # clip alone.
-        self.vertices = vertices
-        # Per vertex, a bitmask of the rows tight there: bit j is set iff
-        # the vertex lies on row j.  A row that cuts nothing off sets no
-        # bit, so a clip that drops no vertex hands the parent's vertices
-        # and masks to the child unchanged.
-        self.tight = tight
+    normals: list               # 1-d arrays (unit rows)
+    offsets: list               # floats
+    pattern: list               # per-layer tuples, then the states of this layer
+    A: np.ndarray               # input -> current activations
+    c: np.ndarray
+    witness: np.ndarray
+    clearance: float
+    centroid: bool              # whether the witness is vertices.mean(axis=0)
+    # Vertices of the closed cell, (k, n0), or None once a clip has
+    # degenerated: the cell and its descendants then rely on the exact
+    # clip alone.
+    vertices: np.ndarray | None
+    # Per vertex, a bitmask of the rows tight there: bit j is set iff
+    # the vertex lies on row j.  A row that cuts nothing off sets no
+    # bit, so a clip that drops no vertex hands the parent's vertices
+    # and masks to the child unchanged.
+    tight: list[int] | None
 
 
 # A vertex within this distance of a cutting plane, relative to the largest
@@ -252,23 +250,26 @@ def _root_cell(box: Box) -> _Cell:
              for v in V.tolist()]
     clearance = min((hi - lo) / 2 for lo, hi in box)
     return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), V.mean(axis=0), clearance,
-                 V, tight)
+                 True, V, tight)
 
 
-def _clip(V, tight, row, off, r, margin):
+def _plane_tol(V) -> float:
+    # on-plane distance for float vertices; Fraction vertices clip exactly
+    return 0 if V.dtype == object else _ON_PLANE * max(1.0, float(np.abs(V).max()))
+
+
+def _clip(V, tight, s, r, margin):
     """Cut the polytope with vertices ``V`` by ``row . x <= off``, the
-    cell's row ``r``, in one double-description step.
+    cell's row ``r``, in one double-description step; ``s`` is the slack
+    ``off - V @ row`` of the vertices.
 
     Returns None when every vertex misses the row by more than ``margin``:
     the child is empty.  Otherwise returns the child's (vertices, tight),
-    both None when the clip leaves no full-dimensional polytope.  Float
-    vertices are on the plane within a tolerance; ``Fraction`` vertices
-    (object arrays) only at slack 0, which makes every step exact."""
-    s = off - V @ row
+    both None when the clip leaves no full-dimensional polytope."""
     top = s.max()
     if top < -margin:
         return None
-    tol = 0 if V.dtype == object else _ON_PLANE * max(1.0, float(np.abs(V).max()))
+    tol = _plane_tol(V)
     if top <= tol:
         return None, None
     if s.min() >= -tol:
@@ -302,21 +303,23 @@ def _clip(V, tight, row, off, r, margin):
     return np.array(out), masks
 
 
-def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
+def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
     """Feasibility of cell + new strict rows.  Returns (witness, clearance,
-    vertices, tight) of the child, or None when it is empty.
+    centroid, vertices, tight) of the child, or None when it is empty.
+    ``s``, if given, is the slack of the cell's vertices on its one new row.
 
     The parent's vertices are clipped by each new row in turn; when every
     vertex left misses a row by more than 10*feas_tol, the child is empty.
     ``_feasible_child`` decides the rest.
     """
     if not new_rows:
-        return cell.witness, cell.clearance, cell.vertices, cell.tight
+        return cell.witness, cell.clearance, cell.centroid, cell.vertices, cell.tight
     hull = (cell.vertices, cell.tight)
     for j, (row, off) in enumerate(new_rows):
         if hull[0] is None:
             break
-        hull = _clip(*hull, row, off, len(cell.offsets) + j, 10 * cfg.feas_tol)
+        slack = off - hull[0] @ row if s is None else s
+        hull = _clip(*hull, slack, len(cell.offsets) + j, 10 * cfg.feas_tol)
         if hull is None:
             return None
     normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
@@ -325,18 +328,33 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
     return None if got is None else got + hull
 
 
-def _rectifier_children(g, d):
-    """(state, new rows) of the children of one rectifier unit on one cell."""
+def _rectifier_children(cell: _Cell, g, d, cfg):
+    """(state, new rows, child from ``_try_extend``) of one rectifier unit
+    on one cell.  If the cell's witness is its vertex centroid and the
+    plane misses the cell by more than 10*feas_tol, the one child keeps
+    the parent's vertices and witness, and no clip runs."""
     norm = float(np.linalg.norm(g))
     if norm < _ZERO_ROW * max(1.0, abs(d)):
         # Unit is constant on the whole input space of this cell; the sign
         # of the bias decides, exact zero counting as inactive.
-        yield 1 if d > 0 else 0, []
+        yield 1 if d > 0 else 0, [], _try_extend(cell, [], cfg)
         return
-    # active: g.x + d > 0  <=>  (-g).x < d
-    yield 1, [(-g / norm, d / norm)]
-    # inactive: g.x + d < 0
-    yield 0, [(g / norm, -d / norm)]
+    # active: g.x + d > 0  <=>  (-g).x < d; inactive: the negated row
+    row, off = -g / norm, d / norm
+    V = cell.vertices
+    s = None if V is None else off - V @ row
+    if cell.centroid:
+        lo, hi, margin = s.min(), s.max(), 10 * cfg.feas_tol
+        side = 1 if lo > margin else -1 if hi < -margin else 0
+        # and the clip would hand the vertices back, not call them flat
+        if side and (hi if side > 0 else -lo) > _plane_tol(V):
+            t = side * float(off - row @ cell.witness)
+            if t > cfg.feas_tol:
+                yield int(side > 0), [(side * row, side * off)], (
+                    cell.witness, min(cell.clearance, t), True, V, cell.tight)
+                return
+    yield 1, [(row, off)], _try_extend(cell, [(row, off)], cfg, s)
+    yield 0, [(-row, -off)], _try_extend(cell, [(-row, -off)], cfg, None if s is None else -s)
 
 
 def _maxout_children(G, D):
@@ -344,78 +362,61 @@ def _maxout_children(G, D):
     k = G.shape[0]
     for t in range(k):
         rows = []
-        dominated = False
         for s in range(k):
             if s == t:
                 continue
             row = G[s] - G[t]
             off = D[t] - D[s]
             norm = float(np.linalg.norm(row))
-            if norm < _ZERO_ROW * max(1.0, abs(off)):
-                if off > 0:
-                    continue  # branch t beats s everywhere
-                if off < 0:
-                    dominated = True
-                    break
-                # identical branches: the lower index wins the tie
-                if s < t:
-                    dominated = True
-                    break
-                continue
-            rows.append((row / norm, off / norm))
-        if not dominated:
+            if norm >= _ZERO_ROW * max(1.0, abs(off)):
+                rows.append((row / norm, off / norm))
+            elif off < 0 or (off == 0 and s < t):
+                # s beats branch t everywhere; identical branches: the lower index wins
+                break
+        else:
             yield t, rows
 
 
-def _subdivide_cell(cell: _Cell, layer, cfg, held: int) -> list[_Cell]:
-    """Push one cell through every unit of one layer.  ``held`` live cells
-    lie outside this one; with them, every child created counts against
-    ``cfg.region_cap``."""
+def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cell]:
+    """Push one cell through every unit of layer ``index``.  ``held`` live
+    cells lie outside this one; with them, every child created counts
+    against ``cfg.region_cap``."""
     cells = [cell]
     k = layer.activation.rank
     W, b = layer.weights, layer.bias
+    fixed = len(cell.pattern)  # layers whose states are tuples already
     for j in range(layer.width):
         nxt = []
         for i, c in enumerate(cells):
             if k == 1:
-                g = W[j] @ c.A
-                d = float(W[j] @ c.c + b[j])
-                candidates = _rectifier_children(g, d)
+                children = _rectifier_children(c, W[j] @ c.A, float(W[j] @ c.c + b[j]), cfg)
             else:
                 rows = slice(j * k, (j + 1) * k)
-                G = W[rows] @ c.A
-                D = W[rows] @ c.c + b[rows]
-                candidates = _maxout_children(G, D)
-            for state, new_rows in candidates:
-                got = _try_extend(c, new_rows, cfg)
+                children = ((state, new_rows, _try_extend(c, new_rows, cfg)) for state, new_rows
+                            in _maxout_children(W[rows] @ c.A, W[rows] @ c.c + b[rows]))
+            for state, new_rows, got in children:
                 if got is None:
                     continue
-                child = _Cell(
-                    c.normals + [r for r, _ in new_rows],
-                    c.offsets + [o for _, o in new_rows],
-                    c.pattern + [state],
-                    c.A,
-                    c.c,
-                    *got,
-                )
-                nxt.append(child)
+                nxt.append(_Cell(c.normals + [r for r, _ in new_rows],
+                                 c.offsets + [o for _, o in new_rows],
+                                 c.pattern + [state], c.A, c.c, *got))
                 live = held + len(nxt) + len(cells) - i - 1
                 if live > cfg.region_cap:
-                    raise RegionBudgetError(live, cfg.region_cap)
+                    code = pattern_code(c.pattern[:fixed] + [c.pattern[fixed:]])
+                    raise RegionBudgetError(live, cfg.region_cap,
+                                            f"layer {index}, unit {j}, cell '{code}'")
         cells = nxt
         if not cells:
             raise EnumerationError(
-                f"no feasible child while splitting unit {j}; numerical collapse"
+                f"no feasible child at layer {index}, unit {j}, cell "
+                f"'{pattern_code(cell.pattern)}'; numerical collapse"
             )
-    # fix the layer's pattern and update the affine map
-    done = []
+    # fix the layer's pattern and update the affine map; every cell here is new
     for c in cells:
-        states = tuple(c.pattern[-layer.width:])
+        states = tuple(c.pattern[fixed:])
         Weff, beff = layer_selection(layer, states)
-        done.append(_Cell(c.normals, c.offsets, c.pattern[:-layer.width] + [states],
-                          Weff @ c.A, Weff @ c.c + beff, c.witness, c.clearance,
-                          c.vertices, c.tight))
-    return done
+        c.pattern, c.A, c.c = c.pattern[:fixed] + [states], Weff @ c.A, Weff @ c.c + beff
+    return cells
 
 
 def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> RegionSet:
@@ -428,10 +429,10 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
     box = cfg.resolved_box(n0)
 
     cells = [_root_cell(box)]
-    for layer in net.layers:
+    for index, layer in enumerate(net.layers):
         done: list[_Cell] = []
         for i, c in enumerate(cells):
-            done += _subdivide_cell(c, layer, cfg, len(done) + len(cells) - i - 1)
+            done += _subdivide_cell(c, layer, index, cfg, len(done) + len(cells) - i - 1)
         cells = done
 
     regions = []

@@ -28,15 +28,12 @@ def region_report(rs: RegionSet) -> dict:
     for r in rs.regions:
         regions.append({
             "pattern": pattern_code(r.pattern),
-            "witness": [float(v) for v in r.witness],
+            "witness": r.witness.tolist(),
             "affine": {
-                "matrix": [[float(v) for v in row] for row in r.affine.matrix],
-                "offset": [float(v) for v in r.affine.offset],
+                "matrix": r.affine.matrix.tolist(),
+                "offset": r.affine.offset.tolist(),
             },
-            "constraints": [
-                [float(v) for v in row] + [float(off)]
-                for row, off in zip(r.normals, r.offsets)
-            ],
+            "constraints": np.column_stack([r.normals, r.offsets]).tolist(),
         })
     return {"count": rs.count, "box": _box_field(rs.box), "regions": regions}
 

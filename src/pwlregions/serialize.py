@@ -5,20 +5,42 @@ round-trips but leaves the exact byte sequence up to the shortest-repr
 algorithm.  Reports and network files here are compared byte-for-byte
 across runs, so every float is rendered with a fixed 17-significant-digit
 format (enough to reconstruct the double exactly) and containers are
-rendered in insertion order with a fixed layout.
+rendered in insertion order with a fixed layout.  A list of floats, or a
+list of non-empty float lists, is formatted with one ``%``-template, byte
+for byte as float by float.
 """
 
 from __future__ import annotations
 
 import json
-import math
+
+_FLOAT = "%.17g"    # "%.17g" % x == format(x, ".17g") for every double
 
 
-def format_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
+def _finite(text: str) -> str:
+    if "n" in text:  # "nan", "inf", "-inf": no finite double prints an n
         raise ValueError("non-finite value in serialized payload")
-    return format(x, ".17g")
+    return text
+
+
+def _bracket(items, pad: str, end: str) -> str:
+    return "[" + pad + ("," + pad).join(items) + end + "]"
+
+
+def _float_block(seq, pad: str, end: str, step: str) -> str | None:
+    """``seq`` rendered in one ``%`` call when it is a list of floats or a
+    list of non-empty float lists, else None.  ``pad`` precedes each item,
+    ``end`` closes the list, and an inner list indents by ``step`` more."""
+    if all(isinstance(v, float) for v in seq):
+        template = _bracket([_FLOAT] * len(seq), pad, end)
+    elif all(isinstance(v, (list, tuple)) and v and all(isinstance(x, float) for x in v)
+             for v in seq):
+        template = _bracket([_bracket([_FLOAT] * len(v), pad + step, pad) for v in seq],
+                            pad, end)
+        seq = [x for v in seq for x in v]
+    else:
+        return None
+    return _finite(template % tuple(seq))
 
 
 def _render(obj, out: list, indent: int | None, level: int) -> None:
@@ -33,7 +55,7 @@ def _render(obj, out: list, indent: int | None, level: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        out.append(_finite(_FLOAT % obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -52,6 +74,10 @@ def _render(obj, out: list, indent: int | None, level: int) -> None:
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        block = _float_block(seq, pad, end, " " * (indent or 0))
+        if block is not None:
+            out.append(block)
             return
         out.append("[")
         for i, v in enumerate(seq):

@@ -105,6 +105,16 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == "4\n"
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_oracle_step_must_be_positive(tmp_path, step, capsys):
+    # 0 divided by zero, -1 sampled at resolution 2, inf at 2 as well
+    net = tmp_path / "saw.json"
+    assert main(["construct", "--kind", "sawtooth", "--p", "3", "-o", str(net)]) == 0
+    assert main(["oracle", str(net), "--box=-1,4", f"--step={step}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --step must be a positive number\n"
+
+
 @pytest.mark.parametrize("cmd, box, message", [
     ("enumerate", "inf", "is not finite"),
     ("oracle", "inf", "is not finite"),

@@ -18,7 +18,6 @@ from pwlregions.constructions import (
     build_rank2_maxout_as_rectifier,
     build_sawtooth_group,
     build_shi_layer,
-    folding_reference_forward,
     identification_check,
     mixing_coefficients,
     sawtooth_network,
@@ -103,6 +102,17 @@ def test_folding_refined_beats_plain():
     assert counted(plain) == 28
     # the unrefined net parks its remainder unit: zero row, never active
     assert np.all(plain.network.layers[0].weights[-1] == 0.0)
+
+
+def folding_reference_forward(stages, x) -> np.ndarray:
+    """Evaluate a folding construction through explicit intermediary
+    mixing steps (folded coordinates materialized between layers)
+    instead of the absorbed weights."""
+    u = np.asarray(x, float)
+    for rows, bias, mix in stages:
+        a = np.maximum(rows @ u + bias, 0.0)
+        u = mix @ a if mix is not None else a
+    return u
 
 
 def test_folding_absorption_matches_staged_reference():

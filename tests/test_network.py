@@ -19,7 +19,6 @@ from pwlregions.network import (
     maxout_structure,
     network_from_dict,
     network_to_dict,
-    networks_equal,
     parameter_count,
     pattern_affine,
     pattern_at,
@@ -29,6 +28,19 @@ from pwlregions.network import (
     save_network,
     structure_of,
 )
+
+
+def networks_equal(a: Network, b: Network) -> bool:
+    if a.input_dim != b.input_dim or a.depth != b.depth:
+        return False
+    for la, lb in zip(a.layers, b.layers):
+        if la.activation != lb.activation:
+            return False
+        if la.weights.shape != lb.weights.shape:
+            return False
+        if not (la.weights == lb.weights).all() or not (la.bias == lb.bias).all():
+            return False
+    return True
 
 
 def _random_net(rng, n0, widths, act=ACT_RECTIFIER):

@@ -107,6 +107,23 @@ def test_region_cap(monkeypatch):
     assert err.value.cap == 2
     assert err.value.partial_count == 3
     assert finished == []
+    # units 0 and 1 (x > 0, -x > 0) leave two cells; unit 2 splits cell 1,0
+    assert str(err.value).endswith("(3 held) at layer 0, unit 2, cell '1,0'")
+
+
+def test_collapse_names_layer_unit_and_cell(monkeypatch):
+    # no unit of layer 1 yields a child: the error names where that happened
+    true_children = regions._rectifier_children
+
+    def children(cell, g, d, cfg):
+        in_layer_1 = cell.pattern and isinstance(cell.pattern[0], tuple)
+        return iter(()) if in_layer_1 else true_children(cell, g, d, cfg)
+
+    monkeypatch.setattr(regions, "_rectifier_children", children)
+    net = Network(2, (Layer(np.eye(2), np.zeros(2), ACT_RECTIFIER),
+                      Layer(np.eye(2), np.zeros(2), ACT_RECTIFIER)))
+    with pytest.raises(EnumerationError, match=r"at layer 1, unit 0, cell '1,1'"):
+        enumerate_regions(net, BOX2)
 
 
 def _scale10_net():
@@ -158,6 +175,38 @@ def test_reports_byte_identical(name):
     rs = enumerate_regions(*make())
     assert rs.count == count
     assert hashlib.sha256(render_region_report(rs).encode()).hexdigest() == digest
+
+
+# Float clips on the rectifier nets of GOLDEN_REPORTS.  While every
+# (cell, unit) pair still clipped both children, the same nets made 1260,
+# 1338, 318 and 2856.
+FLOAT_CLIPS = {"rect-2-8-8": 206, "rect-3-6-6": 476, "rect-4-4-4": 186, "scale10": 578}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CLIPS))
+def test_missed_planes_run_no_clip(name, monkeypatch):
+    """No float clip sees a rectifier plane that misses its cell by more
+    than 10*feas_tol on either side, unless the cell's witness came from
+    the exact clip: then the child takes a fresh centroid."""
+    margin = 10 * FeasibilityConfig().feas_tol
+    cells, clips = [], []
+    true_children, true_clip = regions._rectifier_children, regions._clip
+
+    def children(cell, g, d, cfg):
+        cells.append(cell)  # the clips that follow cut this cell
+        yield from true_children(cell, g, d, cfg)
+
+    def clip(V, tight, s, r, m):
+        if V.dtype != object:
+            clips.append(r)
+            assert not cells[-1].centroid or (s.min() <= margin and s.max() >= -margin)
+        return true_clip(V, tight, s, r, m)
+
+    monkeypatch.setattr(regions, "_rectifier_children", children)
+    monkeypatch.setattr(regions, "_clip", clip)
+    make, count, _ = GOLDEN_REPORTS[name]
+    assert enumerate_regions(*make()).count == count
+    assert len(clips) == FLOAT_CLIPS[name]
 
 
 def _sha256(text: str) -> str:
@@ -552,8 +601,8 @@ def test_feasible_child_keeps_what_the_lp_keeps(data):
     got = regions._feasible_child(rows, offs, None, np.zeros(rows.shape[1]), cfg)
     assert (got is not None) == (t > cfg.feas_tol)
     if got is not None:
-        w, clearance = got
-        assert clearance > cfg.feas_tol
+        w, clearance, centroid = got
+        assert clearance > cfg.feas_tol and not centroid  # no vertices: the exact centroid
         assert _exactly_inside(rows, offs, w.tolist())
 
 

@@ -1,0 +1,107 @@
+"""JSON rendering: float blocks in one template, byte for byte as float by float."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pwlregions.serialize import render_json
+
+
+def _reference_float(x) -> str:
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("non-finite value in serialized payload")
+    return format(x, ".17g")
+
+
+def _reference(obj, out: list, indent, level: int) -> None:
+    """The renderer as it was before float blocks: one call per value."""
+    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
+    end = "" if indent is None else "\n" + " " * (indent * level)
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_reference_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(("," if i else "") + pad)
+            out.append(json.dumps(k) + ": ")
+            _reference(v, out, indent, level + 1)
+        out.append(end + "}")
+    else:
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        out.append("[")
+        for i, v in enumerate(seq):
+            out.append(("," if i else "") + pad)
+            _reference(v, out, indent, level + 1)
+        out.append(end + "]")
+
+
+def reference_json(obj, indent=2) -> str:
+    out: list = []
+    _reference(obj, out, indent, 0)
+    out.append("\n" if indent is not None else "")
+    return "".join(out)
+
+
+EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+         1e16, 1e-300, 1e300, 0.1, 1.0 / 3.0]
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES))
+FLOATS = st.one_of(_finite, _finite.map(np.float64))
+FLOAT_LISTS = st.lists(FLOATS, max_size=5)
+LEAVES = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+                   FLOAT_LISTS, st.lists(FLOAT_LISTS, max_size=4))
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, st.sampled_from([None, 0, 2]))
+def test_render_matches_per_float_reference(obj, indent):
+    assert render_json(obj, indent) == reference_json(obj, indent)
+
+
+# Where a non-finite value may sit: alone, in a float block, in a block
+# of float rows, beside an int (the generic path), and under a dict key.
+PLACES = [
+    lambda x, v: x,
+    lambda x, v: v + [x],
+    lambda x, v: [v + [x] + v],
+    lambda x, v: [[1.0], v + [x]],
+    lambda x, v: [1, x] + v,
+    lambda x, v: {"a": v, "b": {"c": [[x]]}},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]),
+       st.sampled_from(PLACES), FLOAT_LISTS, st.sampled_from([None, 2]))
+def test_non_finite_values_still_raise(bad, place, floats, indent):
+    obj = place(bad, list(floats))
+    with pytest.raises(ValueError, match="non-finite"):
+        reference_json(obj, indent)
+    with pytest.raises(ValueError, match="non-finite"):
+        render_json(obj, indent)
