@@ -21,7 +21,7 @@ from pwlregions.constructions import (
     sawtooth_with_threshold,
 )
 from pwlregions.regions import FeasibilityConfig, enumerate_regions
-from pwlregions.reports import write_region_svg
+from pwlregions.reports import region_svg
 
 
 def gallery(seed: int):
@@ -78,7 +78,7 @@ def main() -> int:
             slug = "".join(c if c.isalnum() else "_" for c in name)
             path = os.path.join(args.out_dir, f"{slug}.svg")
             with open(path, "w") as fp:
-                write_region_svg(draw, fp)
+                fp.write(region_svg(draw))
     return 0
 
 

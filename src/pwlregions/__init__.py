@@ -18,7 +18,6 @@ from .network import (
     NetworkFormatError,
     NetworkStructure,
     forward,
-    identity_map,
     load_network,
     maxout,
     maxout_structure,
@@ -52,7 +51,6 @@ from .regions import (
     Region,
     RegionBudgetError,
     RegionSet,
-    check_general_position,
     count_regions,
     enumerate_regions,
     exact_strictly_feasible,
@@ -98,7 +96,6 @@ from .reports import (
     region_svg,
     render_region_report,
     write_polygon_csv,
-    write_region_svg,
 )
 from .acceptance import CriterionResult, format_table, run_all
 

@@ -57,13 +57,14 @@ from .network import (
     rectifier_structure,
 )
 from .regions import (
+    EnumerationError,
     FeasibilityConfig,
     RegionBudgetError,
     enumerate_regions,
     oracle_count_by_grid,
     region_polygons_2d,
 )
-from .reports import render_region_report, write_polygon_csv, write_region_svg
+from .reports import region_svg, render_region_report, write_polygon_csv
 from .serialize import render_json
 
 
@@ -240,9 +241,7 @@ def cmd_regions2d(args) -> int:
         write_polygon_csv(rs, buf, polygons)
         _emit(buf.getvalue(), args.csv)
     if args.svg:
-        buf = io.StringIO()
-        write_region_svg(rs, buf, polygons)
-        _emit(buf.getvalue(), args.svg)
+        _emit(region_svg(rs, polygons), args.svg)
     print(f"regions: {rs.count}")
     return 0
 
@@ -453,12 +452,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except RegionBudgetError as exc:
         print(f"region cap exceeded: {exc.partial_count} regions alive at cap "
-              f"{exc.cap}", file=sys.stderr)
+              f"{exc.cap} at {exc.where}", file=sys.stderr)
         return 3
     except NetworkFormatError as exc:
         print(f"bad network file: {exc}", file=sys.stderr)
         return 2
-    except (IndexError, OSError, ValueError) as exc:
+    except (EnumerationError, IndexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -250,10 +250,6 @@ class AffineMap:
         return AffineMap(self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset)
 
 
-def identity_map(dim: int) -> AffineMap:
-    return AffineMap(np.eye(dim), np.zeros(dim))
-
-
 def layer_selection(layer: Layer, layer_pattern: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Effective (W, b) of one layer once its pattern is fixed.
 

@@ -11,25 +11,26 @@ Each rectifier unit folds back to a single input-space hyperplane per
 region; each rank-k maxout unit yields k candidate children, one per
 branch, cut out by the k-1 strict dominance inequalities.  A child
 survives iff its Chebyshev radius (the largest ball inside it) exceeds
-``feas_tol``.
+``FEAS_TOL``.
 
 Every cell carries its vertices (the box corners at the root), each with
 a bitmask of the rows tight there.  A child is cut from its parent's
 vertices one new row at a time, in a double-description step: kept
 vertices stay, and each edge from a kept to a dropped vertex gives one new
 vertex on the hyperplane.  If every remaining vertex misses a row by more
-than 10*feas_tol, the child is empty.  Otherwise its witness is the
+than 10*FEAS_TOL, the child is empty.  Otherwise its witness is the
 centroid of its vertices, and its clearance the centroid's smallest slack,
-a lower bound on the Chebyshev radius: if that exceeds ``feas_tol`` the
+a lower bound on the Chebyshev radius: if that exceeds ``FEAS_TOL`` the
 child survives.  A rectifier plane that misses a cell by more than
-10*feas_tol, on a cell whose witness is its vertex centroid, runs no clip:
+10*FEAS_TOL, on a cell whose witness is its vertex centroid, runs no clip:
 the one child keeps the parent's vertices and witness.  The rest (thin
 children, and children whose clip degenerated, which carry no vertices)
 are decided by the same clip run in ``Fraction`` arithmetic from the box
-corners, on the rows pulled in by ``feas_tol``: the child survives iff
+corners, on the rows pulled in by ``FEAS_TOL``: the child survives iff
 that system is non-empty, and its witness is the rounded centroid of the
-exact vertices, kept only if its exact slack exceeds ``feas_tol``.  The final cells hand their vertices to
-their regions, and the 2-d polygons are read from them.
+exact vertices, kept only if its exact slack exceeds ``FEAS_TOL``.  The
+final cells hand their vertices to their regions, and the 2-d polygons
+are read from them.
 
 In exact mode the margin is 0: a child survives iff it is non-empty in
 exact arithmetic with its witness strictly inside every row.
@@ -59,15 +60,17 @@ from .network import (
 
 Box = tuple[tuple[float, float], ...]
 
+# Smallest normalized slack that counts as full-dimensional.
+FEAS_TOL = 1e-7
+
 
 class RegionBudgetError(RuntimeError):
-    """Region cap exceeded; ``partial_count`` holds the count so far."""
+    """Region cap exceeded at ``where``; ``partial_count`` holds the count so far."""
 
-    def __init__(self, partial_count: int, cap: int, where: str = ""):
+    def __init__(self, partial_count: int, cap: int, where: str):
         super().__init__(f"region budget exhausted: more than {cap} regions "
-                         f"({partial_count} held)" + (f" at {where}" if where else ""))
-        self.partial_count = partial_count
-        self.cap = cap
+                         f"({partial_count} held) at {where}")
+        self.partial_count, self.cap, self.where = partial_count, cap, where
 
 
 class EnumerationError(RuntimeError):
@@ -80,15 +83,13 @@ class FeasibilityConfig:
 
     box_halfwidth  enumeration happens inside [-B, B]^n0 unless ``box``
                    overrides it with explicit per-dimension bounds
-    feas_tol       smallest normalized slack that counts as full-dimensional
     region_cap     hard limit on live regions
     exact_rational count every cell that is non-empty in exact arithmetic:
                    the exact clip of a thin child keeps it at margin 0, not
-                   at feas_tol
+                   at FEAS_TOL
     """
 
     box_halfwidth: float = 1e3
-    feas_tol: float = 1e-7
     region_cap: int = 10**6
     exact_rational: bool = False
     box: Box | None = None
@@ -104,9 +105,9 @@ class FeasibilityConfig:
         for lo, hi in box:
             if not math.isfinite(hi - lo):
                 raise ValueError(f"box side [{lo:g}, {hi:g}] is not finite")
-            if not hi - lo > 2 * self.feas_tol:
+            if not hi - lo > 2 * FEAS_TOL:
                 raise ValueError(f"box side [{lo:g}, {hi:g}] is not wider than "
-                                 f"2*feas_tol = {2 * self.feas_tol:g}")
+                                 f"2*feas_tol = {2 * FEAS_TOL:g}")
         return box
 
 
@@ -131,7 +132,6 @@ class Region:
 class RegionSet:
     regions: tuple[Region, ...]
     box: Box
-    layers_processed: int
 
     @property
     def count(self) -> int:
@@ -179,10 +179,10 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
 def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
     """(witness, clearance, whether the witness is the centroid of ``V``)
     for the strict system, or None when its Chebyshev radius is at most
-    ``feas_tol`` (in exact mode: when it is empty in exact arithmetic).
+    ``FEAS_TOL`` (in exact mode: when it is empty in exact arithmetic).
 
     The witness is the centroid of the child's vertices ``V`` when its
-    smallest slack exceeds ``feas_tol``.  Otherwise the exact clip decides
+    smallest slack exceeds ``FEAS_TOL``.  Otherwise the exact clip decides
     the system with every row pulled in by the margin, and the rounded
     exact centroid is kept if its exact slack exceeds the margin.  Rows
     tightest at ``anchor`` (the parent's witness) go first: they empty the
@@ -191,9 +191,9 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
     if V is not None:
         w = V.mean(axis=0)
         s = float((offsets - normals @ w).min())
-        if s > cfg.feas_tol:
+        if s > FEAS_TOL:
             return w, s, True
-    margin = 0.0 if cfg.exact_rational else cfg.feas_tol
+    margin = 0.0 if cfg.exact_rational else FEAS_TOL
     key = offsets - normals @ anchor
     key[:2 * normals.shape[1]] = -np.inf
     order = np.argsort(key, kind="stable")
@@ -231,7 +231,7 @@ class _Cell:
 
 # A vertex within this distance of a cutting plane, relative to the largest
 # vertex coordinate, lies on it.  Far above the rounding of the slacks, far
-# below the 10*feas_tol margin of the emptiness proof.
+# below the 10*FEAS_TOL margin of the emptiness proof.
 _ON_PLANE = 1e-11
 
 
@@ -309,7 +309,7 @@ def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
     ``s``, if given, is the slack of the cell's vertices on its one new row.
 
     The parent's vertices are clipped by each new row in turn; when every
-    vertex left misses a row by more than 10*feas_tol, the child is empty.
+    vertex left misses a row by more than 10*FEAS_TOL, the child is empty.
     ``_feasible_child`` decides the rest.
     """
     if not new_rows:
@@ -319,7 +319,7 @@ def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
         if hull[0] is None:
             break
         slack = off - hull[0] @ row if s is None else s
-        hull = _clip(*hull, slack, len(cell.offsets) + j, 10 * cfg.feas_tol)
+        hull = _clip(*hull, slack, len(cell.offsets) + j, 10 * FEAS_TOL)
         if hull is None:
             return None
     normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
@@ -328,12 +328,21 @@ def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
     return None if got is None else got + hull
 
 
+def _norm(v) -> float:
+    """Euclidean norm; runs where ``enumerate_regions`` makes overflow raise."""
+    try:
+        return float(np.linalg.norm(v))
+    except FloatingPointError:  # the squares overflow: rescale, only here
+        m = float(np.abs(v).max())
+        return m * float(np.linalg.norm(v / m))
+
+
 def _rectifier_children(cell: _Cell, g, d, cfg):
     """(state, new rows, child from ``_try_extend``) of one rectifier unit
     on one cell.  If the cell's witness is its vertex centroid and the
-    plane misses the cell by more than 10*feas_tol, the one child keeps
+    plane misses the cell by more than 10*FEAS_TOL, the one child keeps
     the parent's vertices and witness, and no clip runs."""
-    norm = float(np.linalg.norm(g))
+    norm = _norm(g)
     if norm < _ZERO_ROW * max(1.0, abs(d)):
         # Unit is constant on the whole input space of this cell; the sign
         # of the bias decides, exact zero counting as inactive.
@@ -344,12 +353,12 @@ def _rectifier_children(cell: _Cell, g, d, cfg):
     V = cell.vertices
     s = None if V is None else off - V @ row
     if cell.centroid:
-        lo, hi, margin = s.min(), s.max(), 10 * cfg.feas_tol
+        lo, hi, margin = s.min(), s.max(), 10 * FEAS_TOL
         side = 1 if lo > margin else -1 if hi < -margin else 0
         # and the clip would hand the vertices back, not call them flat
         if side and (hi if side > 0 else -lo) > _plane_tol(V):
             t = side * float(off - row @ cell.witness)
-            if t > cfg.feas_tol:
+            if t > FEAS_TOL:
                 yield int(side > 0), [(side * row, side * off)], (
                     cell.witness, min(cell.clearance, t), True, V, cell.tight)
                 return
@@ -367,7 +376,7 @@ def _maxout_children(G, D):
                 continue
             row = G[s] - G[t]
             off = D[t] - D[s]
-            norm = float(np.linalg.norm(row))
+            norm = _norm(row)
             if norm >= _ZERO_ROW * max(1.0, abs(off)):
                 rows.append((row / norm, off / norm))
             elif off < 0 or (off == 0 and s < t):
@@ -429,11 +438,16 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
     box = cfg.resolved_box(n0)
 
     cells = [_root_cell(box)]
-    for index, layer in enumerate(net.layers):
-        done: list[_Cell] = []
-        for i, c in enumerate(cells):
-            done += _subdivide_cell(c, layer, index, cfg, len(done) + len(cells) - i - 1)
-        cells = done
+    with np.errstate(over="raise"):  # an overflowing map is an error, not an inf
+        for index, layer in enumerate(net.layers):
+            done: list[_Cell] = []
+            for i, c in enumerate(cells):
+                try:
+                    done += _subdivide_cell(c, layer, index, cfg, len(done) + len(cells) - i - 1)
+                except FloatingPointError:
+                    raise EnumerationError(f"float overflow at layer {index}, "
+                                           f"cell '{pattern_code(c.pattern)}'") from None
+            cells = done
 
     regions = []
     for c in cells:
@@ -461,7 +475,7 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
             )
         )
     regions.sort(key=lambda r: r.pattern)
-    return RegionSet(tuple(regions), box, net.depth)
+    return RegionSet(tuple(regions), box)
 
 
 def count_regions(net: Network, cfg: FeasibilityConfig | None = None) -> int:
@@ -508,40 +522,6 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
         X = np.column_stack([g0.ravel(), g1.ravel()])
     pats = pattern_matrix(net, X)
     return int(np.unique(pats, axis=0).shape[0])
-
-
-# ---------------------------------------------------------------------------
-# general position
-
-def check_general_position(hyperplanes, dim: int, tol: float = 1e-8) -> bool:
-    """True iff the hyperplanes ``normal . x = offset`` are in general
-    position in R^dim: every <= dim of the (normalized) normals are
-    linearly independent, and no dim+1 of the hyperplanes share a point."""
-    normals = []
-    offsets = []
-    for normal, offset in hyperplanes:
-        v = np.asarray(normal, dtype=float)
-        n = np.linalg.norm(v)
-        if n < tol:
-            return False
-        normals.append(v / n)
-        offsets.append(float(offset) / n)
-    N = np.array(normals)
-    m = len(normals)
-    for size in range(2, min(dim, m) + 1):
-        for sub in itertools.combinations(range(m), size):
-            s = np.linalg.svd(N[list(sub)], compute_uv=False)
-            if s[-1] < tol:
-                return False
-    if m >= dim + 1:
-        for sub in itertools.combinations(range(m), dim + 1):
-            A = N[list(sub)]
-            b = np.array([offsets[i] for i in sub])
-            ra = np.linalg.matrix_rank(A, tol=tol)
-            rab = np.linalg.matrix_rank(np.column_stack([A, b]), tol=tol)
-            if rab == ra:  # consistent: a common point exists
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,3 @@ def region_svg(rs: RegionSet, polygons=None, size: int = 480) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_region_svg(rs: RegionSet, out: IO[str], polygons=None, size: int = 480) -> None:
-    out.write(region_svg(rs, polygons, size))

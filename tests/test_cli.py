@@ -74,6 +74,26 @@ def test_enumerate_exit_codes(abs_path, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("cmd", ["enumerate", "regions2d"])
+def test_cap_exit_names_where_the_cap_was_hit(abs_path, cmd, capsys):
+    assert main([cmd, abs_path, "--cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("region cap exceeded: 3 regions alive at cap 2 "
+                            "at layer 0, unit 2, cell '1,0'\n")
+
+
+@pytest.mark.parametrize("cmd", ["enumerate", "regions2d"])
+def test_enumeration_error_is_an_input_error(tmp_path, cmd, capsys):
+    # x -> 1e200 * relu(1e200 * relu(x)): the second layer's map overflows
+    net = tmp_path / "huge.json"
+    save_network(Network(2, (Layer([[1e200, 0.0]], [0.0]), Layer([[1e200]], [0.0]))), str(net))
+    assert main([cmd, str(net)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: float overflow at layer 1, cell '1'\n"
+
+
 def test_construct_witness_record(tmp_path, capsys):
     out = tmp_path / "net.json"
     wit = tmp_path / "wit.json"

@@ -1,5 +1,6 @@
 """Witness networks: every predicted count is re-derived by the enumerator."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwlregions import constructions
 from pwlregions.constructions import (
     ConstructionError,
     build_abs_net,
@@ -24,7 +26,9 @@ from pwlregions.constructions import (
     sawtooth_value,
     sawtooth_with_threshold,
 )
+from pwlregions.network import network_to_dict
 from pwlregions.regions import FeasibilityConfig, count_regions, oracle_count_by_grid
+from pwlregions.serialize import render_json
 
 
 def counted(con, **cfg_kw):
@@ -138,6 +142,30 @@ def test_folding_single_layer_is_arrangement():
     assert con.spec.predicted_count == 11
     assert counted(con) == 11
     assert con.readout is None
+
+
+def test_cube_arrangement_rejects_parallel_lines_by_count(monkeypatch):
+    # two parallel lines cut the cube into 3 cells, not the 4 of general position
+    parallel = np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.3, 0.7])
+    monkeypatch.setattr(constructions, "_draw_cube_hyperplanes", lambda n0, count, rng: parallel)
+    with pytest.raises(ConstructionError, match="could not place 2 hyperplanes"):
+        constructions._verified_cube_arrangement(2, 2, seed=0, attempts=3)
+
+
+# SHA-256 of the network JSON, recorded while the cube draws were still
+# screened by a rank test before they were counted
+FOLDING_NET_SHA256 = {
+    (1, (2, 3)): "b4215cc5dbe0506153f81392cc72966220a158f45d5529eebbe608e6f793058f",
+    (2, (5, 3)): "83528715ecd13138db0af9aa4cc97513a48937cac3b2f9c0d40dd8351ee506a2",
+    (3, (3, 4)): "93a562b6d97eab31a053f6689d07c4ac7b53cde32ea433db43cb8b644fc9465d",
+}
+
+
+@pytest.mark.parametrize("n0, widths", sorted(FOLDING_NET_SHA256), ids=str)
+def test_folding_network_json_pinned(n0, widths):
+    con = build_folding_rectifier_net(n0, widths)
+    text = render_json(network_to_dict(con.network))
+    assert hashlib.sha256(text.encode()).hexdigest() == FOLDING_NET_SHA256[n0, widths]
 
 
 # ---------------------------------------------------------------------------

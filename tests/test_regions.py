@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from pwlregions import regions
+from pwlregions.bounds import shallow_max_regions
 from pwlregions.constructions import (
     build_abs_net,
     build_catalan_layer,
@@ -32,7 +33,6 @@ from pwlregions.regions import (
     EnumerationError,
     FeasibilityConfig,
     RegionBudgetError,
-    check_general_position,
     count_regions,
     enumerate_regions,
     exact_strictly_feasible,
@@ -186,9 +186,9 @@ FLOAT_CLIPS = {"rect-2-8-8": 206, "rect-3-6-6": 476, "rect-4-4-4": 186, "scale10
 @pytest.mark.parametrize("name", sorted(FLOAT_CLIPS))
 def test_missed_planes_run_no_clip(name, monkeypatch):
     """No float clip sees a rectifier plane that misses its cell by more
-    than 10*feas_tol on either side, unless the cell's witness came from
+    than 10*FEAS_TOL on either side, unless the cell's witness came from
     the exact clip: then the child takes a fresh centroid."""
-    margin = 10 * FeasibilityConfig().feas_tol
+    margin = 10 * regions.FEAS_TOL
     cells, clips = [], []
     true_children, true_clip = regions._rectifier_children, regions._clip
 
@@ -397,7 +397,7 @@ def test_box_clips_regions():
 
 def test_sliver_thinner_than_the_vertex_margin_is_kept():
     # breakpoints 5e-7 apart: the middle cell's clearance 2.5e-7 clears
-    # feas_tol, though its vertices lie within 10*feas_tol of the cut
+    # FEAS_TOL, though its vertices lie within 10*FEAS_TOL of the cut
     W = np.array([[1.0], [1.0]])
     b = np.array([0.0, -5e-7])
     net = Network(1, (Layer(W, b, ACT_RECTIFIER),))
@@ -412,7 +412,7 @@ def test_config_validation():
         FeasibilityConfig(box=((1.0, 0.0),)).resolved_box(1)
     with pytest.raises(ValueError):
         FeasibilityConfig(box_halfwidth=0.0).resolved_box(1)
-    # non-finite bounds, and sides too narrow to hold a ball of radius feas_tol
+    # non-finite bounds, and sides too narrow to hold a ball of radius FEAS_TOL
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="not finite"):
             FeasibilityConfig(box_halfwidth=bad).resolved_box(1)
@@ -435,6 +435,27 @@ def test_degenerate_rows_use_bias_sign():
     rs = enumerate_regions(net, BOX2)
     assert rs.count == 2
     assert all(r.pattern[0][0] == 1 for r in rs.regions)
+
+
+@pytest.mark.parametrize("w", [1e160, 1e300])
+@pytest.mark.parametrize("kind", ["rectifier", "maxout2"])
+def test_huge_unit_rows_still_split(kind, w):
+    # |g|**2 overflows above about 1.3e154; the norm is rescaled, not inf
+    layer = (Layer([[w]], [0.0]) if kind == "rectifier"
+             else Layer([[w], [-w]], [0.0, 0.0], maxout(2)))
+    rs = enumerate_regions(Network(1, (layer,)), FeasibilityConfig(box_halfwidth=1.0))
+    assert [r.pattern for r in rs.regions] == [((0,),), ((1,),)]
+
+
+@pytest.mark.parametrize("layers, where", [
+    # 1e200 * 1e200 overflows in the second layer's pre-activations
+    ((Layer([[1e200]], [0.0]), Layer([[1e200]], [0.0])), "layer 1, cell '1'"),
+    # the branches are finite, but their difference 2e308 is not
+    ((Layer([[1e308], [-1e308]], [0.0, 0.0], maxout(2)),), "layer 0, cell ''"),
+], ids=["composed", "maxout-difference"])
+def test_overflowing_map_names_its_layer(layers, where):
+    with pytest.raises(EnumerationError, match=f"overflow at {where}"):
+        enumerate_regions(Network(1, layers))
 
 
 def _boxed(normals, offsets, half=2.0):
@@ -525,15 +546,19 @@ def test_oracle_resolution_parity_insensitive():
     assert oracle_count_by_grid(net, box, 400) == 4
 
 
-def test_general_position_checks():
-    gp = [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0),
-          (np.array([1.0, 1.0]), 1.0)]
-    assert check_general_position(gp, 2)
-    parallel = [(np.array([1.0, 0.0]), 0.0), (np.array([2.0, 0.0]), 1.0)]
-    assert not check_general_position(parallel, 2)
-    concurrent = [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0),
-                  (np.array([1.0, 1.0]), 0.0)]
-    assert not check_general_position(concurrent, 2)
+@pytest.mark.parametrize("normals, offsets, count, maximum", [
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 1.0], 7, 7),  # general position
+    ([[1.0, 0.0], [2.0, 0.0]], [0.0, 1.0], 3, 4),                     # parallel
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.0], 6, 7),  # concurrent
+], ids=["general", "parallel", "concurrent"])
+def test_count_reaches_the_maximum_only_in_general_position(normals, offsets, count,
+                                                             maximum):
+    """Lines normal . x = offset, in a box that holds every vertex: only the
+    arrangement in general position reaches the binomial-sum maximum."""
+    W = np.array(normals)
+    net = Network(2, (Layer(W, -np.array(offsets), ACT_RECTIFIER),))
+    assert count_regions(net, FeasibilityConfig(box_halfwidth=10.0)) == count
+    assert shallow_max_regions(2, len(W)) == maximum
 
 
 def _max_slack_lp(normals, offsets) -> float:
@@ -585,11 +610,11 @@ def test_exact_feasibility_agrees_with_lp(data):
 @given(st.data())
 def test_feasible_child_keeps_what_the_lp_keeps(data):
     """Without vertices, a child is decided by the exact clip alone: it is
-    kept iff the LP's Chebyshev radius exceeds feas_tol, also for offsets
-    within a few feas_tol of an integer."""
+    kept iff the LP's Chebyshev radius exceeds FEAS_TOL, also for offsets
+    within a few FEAS_TOL of an integer."""
     rows = _integer_rows(data, 6)
     # in half the systems every offset is near 0: rows that span around the
-    # origin then cut out a sliver whose radius is a few feas_tol
+    # origin then cut out a sliver whose radius is a few FEAS_TOL
     coarse = data.draw(st.sampled_from([0, 1]))
     steps = st.sampled_from([-2, -1, -0.5, 0, 0.5, 1, 2])
     offs = np.array([coarse * data.draw(st.integers(min_value=-3, max_value=3))
@@ -597,12 +622,12 @@ def test_feasible_child_keeps_what_the_lp_keeps(data):
     rows, offs = _boxed(rows, offs, half=data.draw(st.sampled_from([1.0, 4.0, 10.0])))
     cfg = FeasibilityConfig()
     t = _max_slack_lp(rows, offs)
-    assume(abs(t - cfg.feas_tol) >= 1e-9)
+    assume(abs(t - regions.FEAS_TOL) >= 1e-9)
     got = regions._feasible_child(rows, offs, None, np.zeros(rows.shape[1]), cfg)
-    assert (got is not None) == (t > cfg.feas_tol)
+    assert (got is not None) == (t > regions.FEAS_TOL)
     if got is not None:
         w, clearance, centroid = got
-        assert clearance > cfg.feas_tol and not centroid  # no vertices: the exact centroid
+        assert clearance > regions.FEAS_TOL and not centroid  # no vertices: the exact centroid
         assert _exactly_inside(rows, offs, w.tolist())
 
 
