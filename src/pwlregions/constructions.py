@@ -75,7 +75,8 @@ class Construction:
     stages: tuple | None = None
 
     def value(self, x) -> np.ndarray:
-        """The function the construction realizes (readout applied if any)."""
+        """The function the construction realizes (readout applied if any),
+        at one point (n0,) or, one row per point, at a batch (n, n0)."""
         return output_values(self.network, x, self.readout)
 
 
@@ -489,9 +490,7 @@ def build_rank2_maxout_as_rectifier(n0: int, L: int, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(sample_count, n0))
-    worst = 0.0
-    for x in X:
-        worst = max(worst, float(np.max(np.abs(source.value(x) - sim.value(x)))))
+    worst = float(np.abs(source.value(X) - sim.value(X)).max(initial=0.0))
     return SimulationPair(source, sim, worst, sample_count)
 
 

@@ -63,9 +63,18 @@ def output_map(net: Network, prefix, readout: AffineMap | None = None) -> Affine
 
 
 def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarray:
-    """The last layer's activations at x, after ``readout`` if one is given."""
-    acts = forward(net, np.asarray(x, float))[-1]
-    return acts if readout is None else readout(acts)
+    """The last layer's activations at x, after ``readout`` if one is given.
+
+    ``x`` is one point (n0,), giving one vector, or a batch (n, n0),
+    giving one row per point.  A batch's rows can differ from one-point
+    calls in the last bits (see ``network._walk``)."""
+    x = np.asarray(x, float)
+    acts = forward(net, x)[-1]
+    if readout is None:
+        return acts.T
+    if x.ndim == 1:
+        return readout(acts)
+    return (readout.matrix @ acts).T + readout.offset
 
 
 def _check_unit(net: Network, layer: int, unit: int,

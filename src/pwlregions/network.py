@@ -186,7 +186,18 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
     pre-activations into states, by the tie rules in the module docstring.
     A batch of many points goes through matrix-matrix products, whose
     rounding can differ from one point's in the last bits; callers that
-    print per-point values walk point by point.
+    print per-point values walk point by point.  Two callers walk batches:
+
+    - ``pattern_matrix``, for the grid oracle, which prints only a count
+      of distinct patterns.  Its rows are checked against ``pattern_at``
+      in the tests, tie cases included, and its counts against the
+      enumerator's.
+    - ``linmap.output_values`` on a batch, for the certificate of
+      ``build_rank2_maxout_as_rectifier``.  Every weight row of those two
+      nets holds one nonzero entry, or two equal ones, each plus or minus
+      a power of two, so each dot product rounds at most once, in any
+      order; the tests check that the certificate has the ``repr`` of a
+      point loop.
     """
     H = np.asarray(X, dtype=float).T
     points = H.shape[1:]    # () for one point, (n,) for a batch

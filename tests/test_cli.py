@@ -94,6 +94,17 @@ def test_enumeration_error_is_an_input_error(tmp_path, cmd, capsys):
     assert captured.err == "error: float overflow at layer 1, cell '1'\n"
 
 
+def test_enumerate_refuses_a_nan_drift(tmp_path, capsys):
+    # the region map and the forward pass both overflow to inf at a witness
+    net = tmp_path / "nan.json"
+    save_network(Network(2, (Layer([[1e308, 1e308]], [0.0]),)), str(net))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["enumerate", str(net)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: affine map drifted (nan) on region 1\n"
+
+
 def test_construct_witness_record(tmp_path, capsys):
     out = tmp_path / "net.json"
     wit = tmp_path / "wit.json"

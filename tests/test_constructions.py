@@ -215,6 +215,19 @@ def test_rank2_simulation_agrees_everywhere_sampled():
     assert np.allclose(pair.maxout.value(x), pair.rectifier.value(x), atol=1e-9)
 
 
+@pytest.mark.parametrize("sample_count", [1, 7, 1000])
+@pytest.mark.parametrize("n0, L", [(1, 2), (2, 2), (3, 1), (2, 3)])
+def test_rank2_certificate_matches_a_point_loop(n0, L, sample_count):
+    for seed in range(8):
+        pair = build_rank2_maxout_as_rectifier(n0, L, seed=seed, sample_count=sample_count)
+        X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(sample_count, n0))
+        worst = 0.0
+        for x in X:
+            diff = np.abs(pair.maxout.value(x) - pair.rectifier.value(x))
+            worst = max(worst, float(np.max(diff)))
+        assert repr(pair.certificate) == repr(worst)
+
+
 def test_cones_rank2_delegates_to_folding():
     con = build_maxout_cones(2, 2, 2)
     assert con.spec.predicted_count == 8        # k^(L-1+n0)

@@ -14,6 +14,7 @@ from pwlregions.linmap import (
     enumerate_unit_pieces,
     find_identified_pair,
     finite_difference_gradient,
+    output_values,
     readout_linear_map,
     unit_activation,
     unit_linear_map,
@@ -121,6 +122,33 @@ def test_readout_linear_map():
     full = readout_linear_map(con.network, con.readout, x)
     assert np.allclose(full(x), con.value(x))
     assert full.matrix[0, 0] == pytest.approx(-1.0)  # descending piece
+
+
+@pytest.mark.parametrize("build", [
+    build_abs_net,
+    lambda: sawtooth_network(3),
+    lambda: sawtooth_network(4, n0=2, coordinate=1),
+], ids=["abs", "sawtooth", "sawtooth-2d"])
+def test_output_values_batch_stacks_the_point_calls(build):
+    con = build()
+    X = np.random.default_rng(11).uniform(-2.0, 5.0, size=(60, con.network.input_dim))
+    for readout in (None, con.readout):
+        batch = output_values(con.network, X, readout)
+        assert np.array_equal(batch, [output_values(con.network, x, readout) for x in X])
+    assert np.array_equal(con.value(X), [con.value(x) for x in X])
+
+
+def test_output_values_batch_on_a_random_net_is_close():
+    # matrix-matrix products round differently from one point's in the last bits
+    net = random_net(5, (4, 3))
+    rng = np.random.default_rng(5)
+    readout = AffineMap(rng.normal(size=(2, 3)), rng.normal(size=2))
+    X = rng.uniform(-3.0, 3.0, size=(80, 2))
+    for r in (None, readout):
+        batch = output_values(net, X, r)
+        stacked = np.array([output_values(net, x, r) for x in X])
+        assert batch.shape == stacked.shape
+        assert np.allclose(batch, stacked, rtol=1e-12, atol=1e-12)
 
 
 def test_enumerate_unit_pieces_raw_unit():

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,15 @@ from pwlregions.constructions import (
     build_shi_layer,
     sawtooth_network,
 )
-from pwlregions.network import ACT_RECTIFIER, Layer, Network, forward, maxout, pattern_code
+from pwlregions.network import (
+    ACT_RECTIFIER,
+    Layer,
+    Network,
+    forward,
+    maxout,
+    pattern_code,
+    pattern_matrix,
+)
 from pwlregions.regions import (
     EnumerationError,
     FeasibilityConfig,
@@ -386,6 +395,14 @@ def test_drift_check_catches_a_wrong_map(monkeypatch):
         enumerate_regions(three_lines_net())
 
 
+def test_drift_check_fails_on_nan():
+    # the map and forward both overflow to inf at the witness: inf - inf
+    net = Network(2, (Layer([[1e308, 1e308]], [0.0]),))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(EnumerationError, match=r"drifted \(nan\) on region 1$"):
+        enumerate_regions(net)
+
+
 def test_box_clips_regions():
     # sawtooth breakpoints at 0 and 1; a box left of 1 sees only two cells
     W = np.array([[1.0], [2.0]])
@@ -544,6 +561,41 @@ def test_oracle_resolution_parity_insensitive():
     box = ((-1.0, 1.0), (-1.0, 1.0))
     assert oracle_count_by_grid(net, box, 401) == 4
     assert oracle_count_by_grid(net, box, 400) == 4
+
+
+def _oracle_reference(net, box, resolution):
+    """The grid oracle walked as one batch, its distinct rows counted by
+    ``np.unique(..., axis=0)``."""
+    axes = [lo + (hi - lo) / resolution * (np.arange(resolution) + regions._GRID_OFFSET)
+            for lo, hi in box]
+    X = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return int(np.unique(pattern_matrix(net, X), axis=0).shape[0])
+
+
+@pytest.mark.parametrize("n0, resolution", [
+    (1, 400), (1, 65537),
+    # 2-d grids of 65025, 65536, 66049 and 160000 points: blocks of 65536
+    (2, 255), (2, 256), (2, 257), (2, 400),
+])
+@pytest.mark.parametrize("rank", [1, 2, 3], ids=["rectifier", "maxout2", "maxout3"])
+def test_oracle_counts_rows_like_one_batch(rank, n0, resolution):
+    net = _random_net([23, rank, n0], n0, (5, 4), rank)
+    box = ((-3.0, 3.0),) * n0
+    count = oracle_count_by_grid(net, box, resolution)
+    assert count == _oracle_reference(net, box, resolution)
+    assert count > 5
+
+
+def test_oracle_memory_does_not_grow_with_resolution():
+    # one batch of the 10^6 points peaks at ~280 MB; a block stays near 20 MB
+    net = _random_net(29, 2, (8, 8))
+    tracemalloc.start()
+    try:
+        oracle_count_by_grid(net, ((-2.0, 2.0), (-2.0, 2.0)), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("normals, offsets, count, maximum", [
