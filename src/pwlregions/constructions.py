@@ -488,6 +488,11 @@ def build_rank2_maxout_as_rectifier(n0: int, L: int, seed: int = 0,
     )
     sim = Construction(Network(n0, tuple(sim_layers)), sim_spec, readout=readout)
 
+    # The certificate walks all samples as one batch (network._walk), which
+    # gives the bits of a point-by-point walk only because every weight row
+    # of both nets and of the readout holds one nonzero entry or two equal
+    # ones, each plus or minus a power of two: each dot product then rounds
+    # at most once, in any summation order.  Keep that if the rows change.
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(sample_count, n0))
     worst = float(np.abs(source.value(X) - sim.value(X)).max(initial=0.0))

@@ -68,12 +68,9 @@ def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarr
     ``x`` is one point (n0,), giving one vector, or a batch (n, n0),
     giving one row per point.  A batch's rows can differ from one-point
     calls in the last bits (see ``network._walk``)."""
-    x = np.asarray(x, float)
-    acts = forward(net, x)[-1]
+    acts = forward(net, np.asarray(x, float))[-1]
     if readout is None:
         return acts.T
-    if x.ndim == 1:
-        return readout(acts)
     return (readout.matrix @ acts).T + readout.offset
 
 

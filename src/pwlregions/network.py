@@ -193,11 +193,10 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
       in the tests, tie cases included, and its counts against the
       enumerator's.
     - ``linmap.output_values`` on a batch, for the certificate of
-      ``build_rank2_maxout_as_rectifier``.  Every weight row of those two
-      nets holds one nonzero entry, or two equal ones, each plus or minus
-      a power of two, so each dot product rounds at most once, in any
-      order; the tests check that the certificate has the ``repr`` of a
-      point loop.
+      ``build_rank2_maxout_as_rectifier``, whose weights are chosen so
+      that batch and point walks round alike (see the comment there);
+      the tests check that the certificate has the ``repr`` of a point
+      loop.
     """
     H = np.asarray(X, dtype=float).T
     points = H.shape[1:]    # () for one point, (n,) for a batch

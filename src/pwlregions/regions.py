@@ -529,8 +529,7 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
     total = resolution ** net.input_dim
     seen = []
     for start in range(0, total, _GRID_BLOCK):
-        # point i is (axes[0][i // resolution], axes[1][i % resolution]),
-        # the order of a meshgrid with indexing="ij"
+        # point i is (axes[0][i // resolution], axes[1][i % resolution])
         index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, total)), shape)
         X = np.column_stack([a[i] for a, i in zip(axes, index)])
         # rows of bytes: the hstack of transposed states comes F-ordered
