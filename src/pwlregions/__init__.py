@@ -39,7 +39,6 @@ from .bounds import (
     deep_rectifier_lower,
     deep_rectifier_lower_refined,
     fold_counts,
-    identified_region_count,
     maxout_layer_bounds,
     rectifier_upper_bound,
     regions_per_parameter,
@@ -55,7 +54,6 @@ from .regions import (
     enumerate_regions,
     exact_strictly_feasible,
     oracle_count_by_grid,
-    polygon_area,
     region_polygons_2d,
 )
 from .constructions import (
@@ -76,7 +74,6 @@ from .constructions import (
     mixing_coefficients,
     sawtooth_network,
     sawtooth_rows,
-    sawtooth_value,
     sawtooth_with_threshold,
 )
 from .linmap import (
@@ -87,7 +84,6 @@ from .linmap import (
     enumerate_unit_pieces,
     find_identified_pair,
     finite_difference_gradient,
-    readout_linear_map,
     unit_activation,
     unit_linear_map,
 )

@@ -202,7 +202,7 @@ def c09_unit_maps(seed: int) -> CriterionResult:
         for li in range(net.depth):
             for j in range(net.layers[li].width):
                 m = unit_linear_map(net, li, j, x)
-                fd = finite_difference_gradient(net, li, j, x, 1e-6)
+                fd = finite_difference_gradient(net, li, j, x)
                 worst_grad = max(worst_grad, float(np.max(np.abs(m.matrix[0] - fd))))
                 act = unit_activation(net, li, j, x)
                 worst_val = max(worst_val, abs(float(m.matrix[0] @ x + m.offset[0]) - act))

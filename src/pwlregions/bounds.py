@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .network import (
     MAXOUT,
@@ -108,18 +107,6 @@ def fold_counts(n0: int, width: int, refined: bool = True) -> tuple[int, ...]:
     if not refined:
         return (q,) * n0
     return (q,) * (n0 - m) + (q + 1,) * m
-
-
-def identified_region_count(per_layer_fold_counts: Sequence[Sequence[int]]) -> int:
-    """Input-space regions glued together by stacked folding layers:
-    the product of every per-coordinate fold count."""
-    total = 1
-    for layer in per_layer_fold_counts:
-        for p in layer:
-            if p < 1:
-                raise ValueError("fold counts must be >= 1")
-            total *= p
-    return total
 
 
 def maxout_layer_bounds(n: int, m: int, k: int) -> tuple[int, int]:

@@ -130,6 +130,11 @@ def _emit(text: str, path: str | None) -> None:
             fp.write(text)
 
 
+def _check_dim(flag: str, count: int, n0: int) -> None:
+    if count != n0:
+        raise ValueError(f"{flag} has {count} coordinates, the network has {n0} inputs")
+
+
 def _readout_from(args) -> AffineMap | None:
     if not getattr(args, "readout", None):
         return None
@@ -191,7 +196,7 @@ def _build(args):
 def cmd_construct(args) -> int:
     try:
         con, certificate = _build(args)
-    except (ConstructionError, ValueError) as exc:
+    except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
     _emit(render_json(network_to_dict(con.network)), args.output)
@@ -252,6 +257,8 @@ def cmd_linmap(args) -> int:
         samples = np.loadtxt(sys.stdin, delimiter=",", ndmin=2)
     else:
         samples = np.loadtxt(args.points, delimiter=",", ndmin=2)
+    if samples.size:  # an empty file has no pieces, whatever its column count
+        _check_dim("--points", samples.shape[1], net.input_dim)
     pieces = enumerate_unit_pieces(net, args.layer, args.unit, samples,
                                    readout=_readout_from(args), tol=args.tol)
     doc = [{"map": _map_dict(p.map),
@@ -263,9 +270,11 @@ def cmd_linmap(args) -> int:
 
 def cmd_identify(args) -> int:
     net = _load_net(args.network)
+    _check_dim("--x1", len(args.x1), net.input_dim)
+    _check_dim("--x2", len(args.x2), net.input_dim)
     try:
-        pair = find_identified_pair(net, args.layer, args.unit, _vector(args.x1),
-                                    _vector(args.x2), target_tol=args.target_tol,
+        pair = find_identified_pair(net, args.layer, args.unit, args.x1, args.x2,
+                                    target_tol=args.target_tol,
                                     readout=_readout_from(args))
     except (IdentificationError, ValueError) as exc:
         print(f"identification failed: {exc}", file=sys.stderr)
@@ -423,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network", help="network JSON file, or - for stdin")
     p.add_argument("--layer", type=int, required=True, help="0-based layer index")
     p.add_argument("--unit", type=int, required=True, help="0-based unit index")
-    p.add_argument("--x1", required=True, metavar="A,B,...",
+    p.add_argument("--x1", type=_vector, required=True, metavar="A,B,...",
                    help="first point (use --x1=-1,2 for negative values)")
-    p.add_argument("--x2", required=True, metavar="A,B,...",
+    p.add_argument("--x2", type=_vector, required=True, metavar="A,B,...",
                    help="second point, to be adjusted")
     p.add_argument("--target-tol", type=float, default=1e-10)
     p.add_argument("--readout", metavar="ROWS",

@@ -36,7 +36,7 @@ from .network import (
     pattern_at,
     rectifier_structure,
 )
-from .linmap import output_map, output_values
+from .linmap import _point, output_map, output_values
 from .regions import Box, FeasibilityConfig, enumerate_regions
 
 
@@ -114,14 +114,6 @@ def build_sawtooth_group(p: int, coordinate: int = 0, n0: int = 1):
     e[coordinate] = 1.0
     rows, biases = sawtooth_rows(p, e)
     return Layer(rows, biases, ACT_RECTIFIER), mixing_coefficients(p)
-
-
-def sawtooth_value(x: float, p: int) -> float:
-    """Scalar folded value: alternating sum of the group's unit responses."""
-    total = max(0.0, x)
-    for t in range(2, p + 1):
-        total += (-1.0) ** (t - 1) * max(0.0, 2.0 * x - 2.0 * (t - 1))
-    return total
 
 
 def sawtooth_network(p: int, n0: int = 1, coordinate: int = 0) -> Construction:
@@ -590,16 +582,16 @@ def build_maxout_cones(n0: int, L: int, k: int, rotation: float = 1e-2) -> Const
 # identification probe
 
 def identification_check(net: Network, boxes, probe_count: int = 20,
-                         readout: AffineMap | None = None,
-                         tol: float = 1e-8, seed: int = 0) -> bool:
+                         readout: AffineMap | None = None, seed: int = 0) -> bool:
     """Do the given input boxes all map onto a common output set?
 
     For ``probe_count`` random points in the first box, a counterpart in
     every other box is computed by inverting that box's affine map (the
     network restricted to the box's region, composed with the readout if
     given).  True iff every counterpart lies in its box, keeps the box's
-    activation pattern, and reproduces the probe's output within ``tol``.
+    activation pattern, and reproduces the probe's output within 1e-8.
     """
+    tol = 1e-8
     boxes = [tuple((float(lo), float(hi)) for lo, hi in b) for b in boxes]
     if len(boxes) < 2:
         raise ValueError("need at least two boxes")
@@ -631,8 +623,10 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
             inside = all(lo < yi < hi for yi, (lo, hi) in zip(y, b))
             if not inside:
                 return False
-            if pattern_at(net, y) != pat:
+            pattern, acts = _point(net, y)
+            if pattern != pat:
                 return False
-            if np.max(np.abs(output_values(net, y, readout) - target)) > tol:
+            out = acts[-1] if readout is None else readout(acts[-1])
+            if np.max(np.abs(out - target)) > tol:
                 return False
     return True

@@ -19,6 +19,7 @@ from .network import (
     Network,
     _walk,
     forward,
+    layer_selection,
     pattern_affine,
     pattern_at,
 )
@@ -49,16 +50,11 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
     return _tracked_map(net, unit, pattern[:layer + 1], None)
 
 
-def readout_linear_map(net: Network, readout: AffineMap, x) -> AffineMap:
-    """Affine map of a linear readout of the final activations on x's region."""
-    return output_map(net, pattern_at(net, np.asarray(x, float)), readout)
-
-
 def output_map(net: Network, prefix, readout: AffineMap | None = None) -> AffineMap:
     """The affine map a pattern prefix fixes from the input to the
     activations of its last layer, after ``readout`` if one is given (the
     prefix is then a whole pattern)."""
-    full = pattern_affine(net, prefix, upto=len(prefix))
+    full = pattern_affine(net, prefix)
     return full if readout is None else readout.compose(full)
 
 
@@ -85,18 +81,20 @@ def _check_unit(net: Network, layer: int, unit: int,
         raise IndexError(f"readout row {unit} out of range")
 
 
+def _point(net: Network, x) -> tuple:
+    """x's activation pattern and its per-layer activations, from one walk."""
+    steps = list(_walk(net, x))
+    return tuple(tuple(S.tolist()) for _, S, _ in steps), [H for _, _, H in steps]
+
+
 def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
     """The tracked value at x -- unit ``unit`` of ``layer``, or row ``unit``
-    of ``readout`` applied to the last layer -- and, unless that value is
-    <= 0 (then its map is never wanted and this is None), the prefix of
-    x's pattern that fixes the map (see ``_tracked_map``)."""
+    of ``readout`` applied to the last layer --, x's pattern, and the
+    prefix of that pattern that fixes the value's map (see ``_tracked_map``)."""
     _check_unit(net, layer, unit, readout)
-    acts = forward(net, x)
+    pattern, acts = _point(net, x)
     value = float(acts[layer][unit] if readout is None else readout(acts[-1])[unit])
-    if value <= 0.0:
-        return value, None
-    pattern = pattern_at(net, x)
-    return value, pattern if readout is not None else pattern[:layer + 1]
+    return value, pattern, pattern if readout is not None else pattern[:layer + 1]
 
 
 def _tracked_map(net: Network, unit: int, prefix, readout: AffineMap | None) -> AffineMap:
@@ -106,9 +104,9 @@ def _tracked_map(net: Network, unit: int, prefix, readout: AffineMap | None) -> 
     return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
 
 
-def finite_difference_gradient(net: Network, layer: int, unit: int, x,
-                               step: float = 1e-6) -> np.ndarray:
+def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.ndarray:
     """Central-difference gradient of the unit's activation at x."""
+    step = 1e-6
     x = np.asarray(x, float)
     grad = np.zeros(len(x))
     for i in range(len(x)):
@@ -125,11 +123,11 @@ def boundary_clearance(net: Network, x) -> float:
     """Distance from x to the nearest activation boundary, measured with
     input-space unit normals.  Infinite when no unit ever switches."""
     x = np.asarray(x, float)
-    steps = list(_walk(net, x))
-    pattern = tuple(tuple(S.tolist()) for _, S, _ in steps)
+    A = np.eye(net.input_dim)  # linear part of input -> the layer below, on x's region
     best = np.inf
-    for i, (layer, (z, s, _)) in enumerate(zip(net.layers, steps)):
-        G = layer.weights @ pattern_affine(net, pattern, upto=i).matrix  # input-space rows
+    for layer, (z, s, _) in zip(net.layers, _walk(net, x)):
+        G = layer.weights @ A  # input-space rows
+        A = layer_selection(layer, s)[0] @ A
         k = layer.activation.rank
         if k > 1:
             # the selected branch against every branch of its unit
@@ -166,7 +164,7 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     seen: set[tuple] = set()
     for raw in samples:
         x = np.asarray(raw, float)
-        act, prefix = _tracked(net, layer, unit, x, readout)
+        act, _, prefix = _tracked(net, layer, unit, x, readout)
         if act <= 0.0 or prefix in seen:
             continue
         seen.add(prefix)
@@ -204,12 +202,11 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     x1 = np.asarray(x1, float)
     x2 = np.asarray(x2, float)
 
-    a1, q1 = _tracked(net, layer, unit, x1, readout)
-    a2, q2 = _tracked(net, layer, unit, x2, readout)
+    a1, p1, q1 = _tracked(net, layer, unit, x1, readout)
+    a2, p2, q2 = _tracked(net, layer, unit, x2, readout)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("unit must be active (positive value) at both points")
     m1, m2 = _tracked_map(net, unit, q1, readout), _tracked_map(net, unit, q2, readout)
-    p1, p2 = pattern_at(net, x1), pattern_at(net, x2)
     if p1 == p2:
         return IdentifiedPair(x2.copy(), m1, m2, True)
 
@@ -218,11 +215,12 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     if gnorm2 < 1e-24:
         raise IdentificationError("value gradient vanishes at the second point")
     adjusted = x2 + ((a1 - a2) / gnorm2) * g
-    if pattern_at(net, adjusted) != p2:
+    a3, p3, _ = _tracked(net, layer, unit, adjusted, readout)
+    if p3 != p2:
         raise IdentificationError(
             "no identified pair along this ray: the region boundary is crossed first"
         )
-    miss = abs(_tracked(net, layer, unit, adjusted, readout)[0] - a1)
+    miss = abs(a3 - a1)
     if miss > target_tol:
         raise IdentificationError(f"adjustment landed {miss:.3e} from the target value")
     # adjusted keeps x2's pattern, hence x2's map

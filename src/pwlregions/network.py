@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -279,15 +279,12 @@ def layer_selection(layer: Layer, layer_pattern: Sequence[int]) -> tuple[np.ndar
     return layer.weights[rows], layer.bias[rows]
 
 
-def pattern_affine(net: Network, pattern: ActivationPattern, upto: int | None = None) -> AffineMap:
-    """Affine map input -> layer activations implied by a fixed pattern.
-
-    ``upto`` limits composition to the first ``upto`` layers (default: all).
-    """
-    n = net.depth if upto is None else upto
+def pattern_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
+    """Affine map input -> activations of the last layer a fixed pattern
+    covers; a prefix of a pattern covers the first ``len(prefix)`` layers."""
     A = np.eye(net.input_dim)
     c = np.zeros(net.input_dim)
-    for layer, lp in zip(net.layers[:n], pattern[:n]):
+    for layer, lp in zip(net.layers, pattern):
         W, b = layer_selection(layer, lp)
         c = W @ c + b
         A = W @ A

@@ -124,9 +124,6 @@ class Region:
     vertices: np.ndarray | None = None  # (k, n0), None if the clip degenerated
     tight: list[int] | None = None      # per vertex, bit j: cut on row j (see _Cell)
 
-    def contains(self, x: np.ndarray, slack: float = 0.0) -> bool:
-        return bool((self.normals @ np.asarray(x, float) <= self.offsets - slack).all())
-
 
 @dataclass(frozen=True)
 class RegionSet:
@@ -568,10 +565,3 @@ def region_polygons_2d(rs: RegionSet) -> list[np.ndarray]:
         ang = np.arctan2(arr[:, 1] - region.witness[1], arr[:, 0] - region.witness[0])
         polys.append(arr[np.argsort(ang)])
     return polys
-
-
-def polygon_area(vertices: np.ndarray) -> float:
-    if len(vertices) < 3:
-        return 0.0
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))

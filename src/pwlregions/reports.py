@@ -57,9 +57,10 @@ def _pattern_hue(code: str) -> int:
     return int(digest[:8], 16) % 360
 
 
-def region_svg(rs: RegionSet, polygons=None, size: int = 480) -> str:
-    """Standalone SVG, one path per region, hue hashed from the pattern
-    code so colors are stable across runs and platforms."""
+def region_svg(rs: RegionSet, polygons=None) -> str:
+    """Standalone 480-pixel-square SVG, one path per region, hue hashed
+    from the pattern code so colors are stable across runs and platforms."""
+    size = 480
     if polygons is None:
         polygons = region_polygons_2d(rs)
     (x0, x1), (y0, y1) = rs.box

@@ -11,7 +11,6 @@ from pwlregions.bounds import (
     deep_rectifier_lower,
     deep_rectifier_lower_refined,
     fold_counts,
-    identified_region_count,
     maxout_layer_bounds,
     rectifier_upper_bound,
     regions_per_parameter,
@@ -62,13 +61,6 @@ def test_fold_counts():
     assert fold_counts(3, 7) == (2, 2, 3)
     with pytest.raises(ValueError):
         fold_counts(3, 2)
-
-
-def test_identified_region_count():
-    assert identified_region_count([[2, 2], [2, 2]]) == 16
-    assert identified_region_count([(3,), (2,)]) == 6
-    with pytest.raises(ValueError):
-        identified_region_count([[0]])
 
 
 def test_maxout_bounds():

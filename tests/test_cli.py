@@ -129,6 +129,15 @@ def test_construct_invalid_params(capsys):
     assert "construction failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "sawtooth", "--p", "0"], "p must be >= 1"),
+    (["--kind", "shi", "--n", "1"], "need n >= 2"),
+], ids=["sawtooth-p", "shi-n"])
+def test_construct_bad_parameter_is_a_usage_error(args, message, capsys):
+    assert main(["construct"] + args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     net = tmp_path / "saw.json"
     assert main(["construct", "--kind", "sawtooth", "--p", "3", "-o", str(net)]) == 0
@@ -222,6 +231,35 @@ def test_index_out_of_range_is_an_input_error(abs_path, cmd, capsys, monkeypatch
     assert main([cmd[0], abs_path] + cmd[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "out of range" in err
+
+
+@pytest.mark.parametrize("cmd, flag, count", [
+    (["identify", "--layer", "0", "--unit", "0", "--x1=0.7,0.2,0.1", "--x2=-0.9,0.2"],
+     "--x1", 3),
+    (["identify", "--layer", "0", "--unit", "0", "--x1=0.7,0.2", "--x2=-0.9"], "--x2", 1),
+    (["linmap", "--layer", "0", "--unit", "0", "--points", "-"], "--points", 3),
+], ids=["identify-x1", "identify-x2", "linmap-points"])
+def test_point_of_the_wrong_dimension_is_an_input_error(abs_path, cmd, flag, count,
+                                                        capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.5,0.5,0.1\n-0.5,0.5,0.1\n"))
+    assert main([cmd[0], abs_path] + cmd[1:] + ["--readout", "1,1,0,0;0,0,1,1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} has {count} coordinates, the network has 2 inputs\n")
+
+
+def test_linmap_of_no_samples_lists_no_pieces(abs_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    with pytest.warns(UserWarning, match="no data"):
+        assert main(["linmap", abs_path, "--layer", "0", "--unit", "0", "--points", "-"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+def test_identify_rejects_a_malformed_point(abs_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", abs_path, "--layer", "0", "--unit", "0",
+              "--x1", "a,b", "--x2=-0.9,0.2"])
+    assert exc.value.code == 2
+    assert "not a comma-separated float list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", [

@@ -23,7 +23,6 @@ from pwlregions.constructions import (
     identification_check,
     mixing_coefficients,
     sawtooth_network,
-    sawtooth_value,
     sawtooth_with_threshold,
 )
 from pwlregions.network import network_to_dict
@@ -69,16 +68,28 @@ def test_sawtooth_with_threshold():
         sawtooth_with_threshold(3, 1.5)
 
 
+def sawtooth_value(x: float, p: int) -> float:
+    """Scalar folded value: alternating sum of the group's unit responses."""
+    total = max(0.0, x)
+    for t in range(2, p + 1):
+        total += (-1.0) ** (t - 1) * max(0.0, 2.0 * x - 2.0 * (t - 1))
+    return total
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=6),
        st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_sawtooth_value_folds_every_piece_onto_unit_interval(p, frac):
-    """On piece t the folded value retraces (0,1), alternating direction."""
+    """On piece t the folded value retraces (0,1), alternating direction,
+    and the network's readout computes the same value."""
+    con = sawtooth_network(p)
     for t in range(p):
         x = t + frac
         want = frac if t % 2 == 0 else 1.0 - frac
         assert sawtooth_value(x, p) == pytest.approx(want, abs=1e-12)
+        assert con.value(np.array([x]))[0] == pytest.approx(sawtooth_value(x, p), abs=1e-12)
     assert sawtooth_value(-frac, p) == 0.0
+    assert con.value(np.array([-frac]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

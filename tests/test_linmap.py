@@ -14,8 +14,8 @@ from pwlregions.linmap import (
     enumerate_unit_pieces,
     find_identified_pair,
     finite_difference_gradient,
+    output_map,
     output_values,
-    readout_linear_map,
     unit_activation,
     unit_linear_map,
 )
@@ -85,7 +85,7 @@ def _reference_clearance(net, x):
     pattern = pattern_at(net, x)
     best = np.inf
     for i, layer in enumerate(net.layers):
-        below = pattern_affine(net, pattern, upto=i)
+        below = pattern_affine(net, pattern[:i])
         rows = [(layer.weights[r] @ below.matrix, layer.weights[r] @ below.offset + layer.bias[r])
                 for r in range(layer.weights.shape[0])]
         k = layer.activation.rank
@@ -119,7 +119,7 @@ def test_boundary_clearance_matches_reference(act):
 def test_readout_linear_map():
     con = sawtooth_network(3)
     x = np.array([1.4])
-    full = readout_linear_map(con.network, con.readout, x)
+    full = output_map(con.network, pattern_at(con.network, x), con.readout)
     assert np.allclose(full(x), con.value(x))
     assert full.matrix[0, 0] == pytest.approx(-1.0)  # descending piece
 

@@ -145,11 +145,11 @@ def test_pattern_affine_reproduces_forward():
         assert np.allclose(aff(x), forward(net, x)[-1], atol=1e-12)
 
 
-def test_pattern_affine_upto_prefix():
+def test_pattern_affine_of_a_prefix():
     rng = np.random.default_rng(4)
     net = _random_net(rng, 2, (3, 3))
     x = np.array([0.3, -0.8])
-    aff1 = pattern_affine(net, pattern_at(net, x), upto=1)
+    aff1 = pattern_affine(net, pattern_at(net, x)[:1])
     assert np.allclose(aff1(x), forward(net, x)[0])
 
 

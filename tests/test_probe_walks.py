@@ -1,0 +1,311 @@
+"""The probe layer walks each point through the net once, and its results
+are bit for bit those of the earlier functions that walked it up to three
+times and composed every layer's map from the input again."""
+
+import numpy as np
+import pytest
+
+from pwlregions import linmap, network
+from pwlregions.constructions import build_abs_net, identification_check, sawtooth_network
+from pwlregions.linmap import (
+    IdentificationError,
+    IdentifiedPair,
+    UnitPiece,
+    _check_unit,
+    boundary_clearance,
+    enumerate_unit_pieces,
+    find_identified_pair,
+    output_values,
+    unit_linear_map,
+)
+from pwlregions.network import (
+    ACT_RECTIFIER,
+    AffineMap,
+    Layer,
+    Network,
+    forward,
+    layer_selection,
+    maxout,
+    pattern_at,
+)
+
+QUADRANTS = [((0.1, 0.9), (0.1, 0.9)), ((-0.9, -0.1), (0.1, 0.9)),
+             ((0.1, 0.9), (-0.9, -0.1)), ((-0.9, -0.1), (-0.9, -0.1))]
+
+
+# ---------------------------------------------------------------------------
+# walk counts
+
+@pytest.fixture()
+def walks(monkeypatch):
+    """Count the layer walks, as ``network`` and ``linmap`` see ``_walk``."""
+    count = [0]
+    inner = network._walk
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_walk", counted)
+    monkeypatch.setattr(linmap, "_walk", counted)
+    return count
+
+
+def test_identified_pair_walks_each_point_once(walks):
+    con = build_abs_net()
+    pair = find_identified_pair(con.network, 0, 0, [0.7, 0.2], [-0.9, 0.2],
+                                readout=con.readout)
+    assert not pair.same_region
+    assert walks[0] == 3  # x1, x2 and the adjusted point
+
+
+def test_unit_pieces_walk_each_sample_once(walks):
+    con = build_abs_net()
+    samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2))
+    assert enumerate_unit_pieces(con.network, 0, 0, samples, readout=con.readout)
+    assert walks[0] == 50
+
+
+def test_identification_check_walks_each_counterpart_once(walks):
+    con = build_abs_net()
+    assert identification_check(con.network, QUADRANTS, probe_count=20, readout=con.readout)
+    assert walks[0] == 4 + 20 * 4  # box centers, then each probe and its 3 counterparts
+
+
+def test_boundary_clearance_composes_as_it_walks(walks, monkeypatch):
+    calls = [0]
+    inner = linmap.pattern_affine
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(linmap, "pattern_affine", counted)
+    net = _random_net(np.random.default_rng(1), ACT_RECTIFIER, (3, 3, 3))
+    boundary_clearance(net, np.array([0.3, -0.4]))
+    assert calls[0] == 0
+    assert walks[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the earlier functions, kept as the reference
+
+def ref_pattern_affine(net, pattern, upto=None):
+    n = net.depth if upto is None else upto
+    A = np.eye(net.input_dim)
+    c = np.zeros(net.input_dim)
+    for layer, lp in zip(net.layers[:n], pattern[:n]):
+        W, b = layer_selection(layer, lp)
+        c = W @ c + b
+        A = W @ A
+    return AffineMap(A, c)
+
+
+def ref_output_map(net, prefix, readout=None):
+    full = ref_pattern_affine(net, prefix, upto=len(prefix))
+    return full if readout is None else readout.compose(full)
+
+
+def ref_tracked(net, layer, unit, x, readout):
+    _check_unit(net, layer, unit, readout)
+    acts = forward(net, x)
+    value = float(acts[layer][unit] if readout is None else readout(acts[-1])[unit])
+    if value <= 0.0:
+        return value, None
+    pattern = pattern_at(net, x)
+    return value, pattern if readout is not None else pattern[:layer + 1]
+
+
+def ref_tracked_map(net, unit, prefix, readout):
+    full = ref_output_map(net, prefix, readout)
+    return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
+
+
+def ref_unit_linear_map(net, layer, unit, x):
+    _check_unit(net, layer, unit)
+    pattern = pattern_at(net, np.asarray(x, float))
+    return ref_tracked_map(net, unit, pattern[:layer + 1], None)
+
+
+def ref_boundary_clearance(net, x):
+    x = np.asarray(x, float)
+    steps = list(network._walk(net, x))
+    pattern = tuple(tuple(S.tolist()) for _, S, _ in steps)
+    best = np.inf
+    for i, (layer, (z, s, _)) in enumerate(zip(net.layers, steps)):
+        G = layer.weights @ ref_pattern_affine(net, pattern, upto=i).matrix
+        k = layer.activation.rank
+        if k > 1:
+            pick = np.arange(layer.width) * k + s
+            z = np.repeat(z[pick], k) - z
+            G = np.repeat(G[pick], k, axis=0) - G
+        norms = np.linalg.norm(G, axis=1)
+        keep = norms > 1e-12
+        if keep.any():
+            best = min(best, float(np.min(np.abs(z[keep]) / norms[keep])))
+    return best
+
+
+def ref_enumerate_unit_pieces(net, layer, unit, samples, readout=None, tol=1e-8):
+    pieces, keys, seen = [], [], set()
+    for raw in samples:
+        x = np.asarray(raw, float)
+        act, prefix = ref_tracked(net, layer, unit, x, readout)
+        if act <= 0.0 or prefix in seen:
+            continue
+        seen.add(prefix)
+        m = ref_tracked_map(net, unit, prefix, readout)
+        key = np.concatenate([m.matrix.ravel(), m.offset])
+        if all(np.max(np.abs(key - other)) > tol for other in keys):
+            pieces.append(UnitPiece(m, x, act))
+            keys.append(key)
+    pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
+    return pieces
+
+
+def ref_find_identified_pair(net, layer, unit, x1, x2, target_tol=1e-10, readout=None):
+    x1 = np.asarray(x1, float)
+    x2 = np.asarray(x2, float)
+    a1, q1 = ref_tracked(net, layer, unit, x1, readout)
+    a2, q2 = ref_tracked(net, layer, unit, x2, readout)
+    if a1 <= 0.0 or a2 <= 0.0:
+        raise ValueError("unit must be active (positive value) at both points")
+    m1, m2 = ref_tracked_map(net, unit, q1, readout), ref_tracked_map(net, unit, q2, readout)
+    p1, p2 = pattern_at(net, x1), pattern_at(net, x2)
+    if p1 == p2:
+        return IdentifiedPair(x2.copy(), m1, m2, True)
+    g = m2.matrix[0]
+    gnorm2 = float(g @ g)
+    if gnorm2 < 1e-24:
+        raise IdentificationError("value gradient vanishes at the second point")
+    adjusted = x2 + ((a1 - a2) / gnorm2) * g
+    if pattern_at(net, adjusted) != p2:
+        raise IdentificationError(
+            "no identified pair along this ray: the region boundary is crossed first")
+    miss = abs(ref_tracked(net, layer, unit, adjusted, readout)[0] - a1)
+    if miss > target_tol:
+        raise IdentificationError(f"adjustment landed {miss:.3e} from the target value")
+    return IdentifiedPair(adjusted, m1, m2, False)
+
+
+def ref_identification_check(net, boxes, probe_count=20, readout=None, tol=1e-8, seed=0):
+    boxes = [tuple((float(lo), float(hi)) for lo, hi in b) for b in boxes]
+    maps, patterns = [], []
+    for b in boxes:
+        center = np.array([(lo + hi) / 2 for lo, hi in b])
+        pat = pattern_at(net, center)
+        maps.append(ref_output_map(net, pat, readout))
+        patterns.append(pat)
+    rng = np.random.default_rng(seed)
+    lo0 = np.array([lo for lo, _ in boxes[0]])
+    hi0 = np.array([hi for _, hi in boxes[0]])
+    for _ in range(probe_count):
+        x = lo0 + (hi0 - lo0) * rng.random(len(boxes[0]))
+        target = maps[0](x)
+        if np.max(np.abs(output_values(net, x, readout) - target)) > tol:
+            return False
+        for b, aff, pat in zip(boxes[1:], maps[1:], patterns[1:]):
+            A, c = aff.matrix, aff.offset
+            if A.shape[0] != A.shape[1]:
+                y, *_ = np.linalg.lstsq(A, target - c, rcond=None)
+            else:
+                try:
+                    y = np.linalg.solve(A, target - c)
+                except np.linalg.LinAlgError:
+                    return False
+            if not all(lo < yi < hi for yi, (lo, hi) in zip(y, b)):
+                return False
+            if pattern_at(net, y) != pat:
+                return False
+            if np.max(np.abs(output_values(net, y, readout) - target)) > tol:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# bit identity
+
+def _random_net(rng, act, widths, n0=2):
+    layers, fan = [], n0
+    for w in widths:
+        rows = w * act.rank
+        layers.append(Layer(rng.normal(size=(rows, fan)), rng.normal(size=rows), act))
+        fan = w
+    return Network(n0, tuple(layers))
+
+
+def _same_map(a, b):
+    return np.array_equal(a.matrix, b.matrix) and np.array_equal(a.offset, b.offset)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, IdentificationError) as exc:
+        return type(exc), str(exc)
+
+
+ACTS = {"rectifier": ACT_RECTIFIER, "maxout2": maxout(2), "maxout3": maxout(3)}
+CASES = [(name, depth, with_readout)
+         for name in ACTS for depth in (1, 2, 3) for with_readout in (False, True)]
+
+
+@pytest.mark.parametrize("name, depth, with_readout", CASES,
+                         ids=[f"{n}-L{d}-{'readout' if r else 'units'}" for n, d, r in CASES])
+def test_probe_results_equal_the_earlier_functions(name, depth, with_readout):
+    rng = np.random.default_rng([depth, list(ACTS).index(name), int(with_readout)])
+    net = _random_net(rng, ACTS[name], rng.integers(2, 5, size=depth))
+    last = net.layers[-1].width
+    readout = AffineMap(rng.normal(size=(2, last)), rng.normal(size=2)) if with_readout else None
+    X = rng.uniform(-2.0, 2.0, size=(40, 2))
+
+    for x in X:
+        assert boundary_clearance(net, x) == ref_boundary_clearance(net, x)
+        for layer in range(net.depth):
+            for unit in range(net.layers[layer].width):
+                assert _same_map(unit_linear_map(net, layer, unit, x),
+                                 ref_unit_linear_map(net, layer, unit, x))
+
+    if readout is None:
+        tracked = [(layer, u) for layer in range(net.depth)
+                   for u in range(net.layers[layer].width)]
+    else:
+        tracked = [(0, u) for u in range(readout.matrix.shape[0])]
+    for layer, unit in tracked:
+        got = enumerate_unit_pieces(net, layer, unit, X, readout=readout)
+        want = ref_enumerate_unit_pieces(net, layer, unit, X, readout=readout)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert _same_map(g.map, w.map)
+            assert np.array_equal(g.representative, w.representative)
+            assert g.activation == w.activation
+        for x1, x2 in zip(X[:20], X[20:]):
+            got = _outcome(find_identified_pair, net, layer, unit, x1, x2, readout=readout)
+            want = _outcome(ref_find_identified_pair, net, layer, unit, x1, x2,
+                            readout=readout)
+            if isinstance(want, IdentifiedPair):
+                assert np.array_equal(got.point, want.point)
+                assert _same_map(got.map1, want.map1) and _same_map(got.map2, want.map2)
+                assert got.same_region == want.same_region
+            else:
+                assert got == want
+
+    # a box against itself and against another; tiny boxes sit inside one region
+    for x, y in zip(X[:10], X[10:20]):
+        for half in (1e-6, 0.3):
+            for pair in ((x, x), (x, y)):
+                boxes = [tuple((v - half, v + half) for v in p) for p in pair]
+                assert identification_check(net, boxes, probe_count=5, readout=readout) == \
+                    ref_identification_check(net, boxes, probe_count=5, readout=readout)
+
+
+@pytest.mark.parametrize("build, boxes", [
+    (build_abs_net, QUADRANTS),
+    (lambda: sawtooth_network(3), [((0.05, 0.95),), ((1.05, 1.95),), ((2.05, 2.95),)]),
+], ids=["abs", "sawtooth"])
+@pytest.mark.parametrize("seed", [0, 7, 15])
+def test_identification_check_equals_the_earlier_function_on_witnesses(build, boxes, seed):
+    con = build()
+    for readout in (con.readout, None):
+        assert identification_check(con.network, boxes, readout=readout, seed=seed) == \
+            ref_identification_check(con.network, boxes, readout=readout, seed=seed)

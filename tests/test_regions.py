@@ -46,7 +46,6 @@ from pwlregions.regions import (
     enumerate_regions,
     exact_strictly_feasible,
     oracle_count_by_grid,
-    polygon_area,
     region_polygons_2d,
 )
 from pwlregions.reports import (
@@ -58,6 +57,14 @@ from pwlregions.reports import (
 from pwlregions.serialize import render_json
 
 BOX2 = FeasibilityConfig(box=((-2.0, 2.0), (-2.0, 2.0)))
+
+
+def polygon_area(vertices: np.ndarray) -> float:
+    """Shoelace area of a polygon given by its vertices in order."""
+    if len(vertices) < 3:
+        return 0.0
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def three_lines_net():
@@ -75,7 +82,7 @@ def test_abs_net_quadrants():
     assert ((1, 0, 1, 0),) in patterns  # open positive quadrant
     for r in rs.regions:
         assert r.clearance > 0
-        assert r.contains(r.witness)
+        assert (r.normals @ r.witness <= r.offsets).all()
 
 
 def test_three_lines_make_seven_cells():

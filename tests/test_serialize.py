@@ -18,10 +18,10 @@ def _reference_float(x) -> str:
     return format(x, ".17g")
 
 
-def _reference(obj, out: list, indent, level: int) -> None:
+def _reference(obj, out: list, level: int) -> None:
     """The renderer as it was before float blocks: one call per value."""
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * level)
+    pad = "\n" + "  " * (level + 1)
+    end = "\n" + "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -42,7 +42,7 @@ def _reference(obj, out: list, indent, level: int) -> None:
         for i, (k, v) in enumerate(obj.items()):
             out.append(("," if i else "") + pad)
             out.append(json.dumps(k) + ": ")
-            _reference(v, out, indent, level + 1)
+            _reference(v, out, level + 1)
         out.append(end + "}")
     else:
         seq = list(obj)
@@ -52,14 +52,14 @@ def _reference(obj, out: list, indent, level: int) -> None:
         out.append("[")
         for i, v in enumerate(seq):
             out.append(("," if i else "") + pad)
-            _reference(v, out, indent, level + 1)
+            _reference(v, out, level + 1)
         out.append(end + "]")
 
 
-def reference_json(obj, indent=2) -> str:
+def reference_json(obj) -> str:
     out: list = []
-    _reference(obj, out, indent, 0)
-    out.append("\n" if indent is not None else "")
+    _reference(obj, out, 0)
+    out.append("\n")
     return "".join(out)
 
 
@@ -79,9 +79,9 @@ VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(VALUES, st.sampled_from([None, 0, 2]))
-def test_render_matches_per_float_reference(obj, indent):
-    assert render_json(obj, indent) == reference_json(obj, indent)
+@given(VALUES)
+def test_render_matches_per_float_reference(obj):
+    assert render_json(obj) == reference_json(obj)
 
 
 # Where a non-finite value may sit: alone, in a float block, in a block
@@ -98,10 +98,10 @@ PLACES = [
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]),
-       st.sampled_from(PLACES), FLOAT_LISTS, st.sampled_from([None, 2]))
-def test_non_finite_values_still_raise(bad, place, floats, indent):
+       st.sampled_from(PLACES), FLOAT_LISTS)
+def test_non_finite_values_still_raise(bad, place, floats):
     obj = place(bad, list(floats))
     with pytest.raises(ValueError, match="non-finite"):
-        reference_json(obj, indent)
+        reference_json(obj)
     with pytest.raises(ValueError, match="non-finite"):
-        render_json(obj, indent)
+        render_json(obj)
