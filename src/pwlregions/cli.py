@@ -135,14 +135,21 @@ def _check_dim(flag: str, count: int, n0: int) -> None:
         raise ValueError(f"{flag} has {count} coordinates, the network has {n0} inputs")
 
 
-def _readout_from(args) -> AffineMap | None:
-    if not getattr(args, "readout", None):
+def _readout_from(args, width: int) -> AffineMap | None:
+    """The ``--readout`` map, whose rows must each have ``width`` columns,
+    the width of the network's last layer."""
+    if not args.readout:
         return None
     rows = [[float(t) for t in chunk.split(",")] for chunk in args.readout.split(";")]
-    matrix = np.array(rows)
-    offset = (_vector(args.readout_offset) if getattr(args, "readout_offset", None)
-              else np.zeros(matrix.shape[0]))
-    return AffineMap(matrix, offset)
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"--readout has a row of {len(row)} columns, "
+                             f"the network's last layer has {width} units")
+    offset = np.zeros(len(rows)) if args.readout_offset is None else args.readout_offset
+    if len(offset) != len(rows):
+        raise ValueError(f"--readout-offset has {len(offset)} entries, "
+                         f"--readout has {len(rows)} rows")
+    return AffineMap(np.array(rows), offset)
 
 
 def _map_dict(m: AffineMap) -> dict:
@@ -259,8 +266,9 @@ def cmd_linmap(args) -> int:
         samples = np.loadtxt(args.points, delimiter=",", ndmin=2)
     if samples.size:  # an empty file has no pieces, whatever its column count
         _check_dim("--points", samples.shape[1], net.input_dim)
+    readout = _readout_from(args, net.layers[-1].width)
     pieces = enumerate_unit_pieces(net, args.layer, args.unit, samples,
-                                   readout=_readout_from(args), tol=args.tol)
+                                   readout=readout, tol=args.tol)
     doc = [{"map": _map_dict(p.map),
             "representative": p.representative.tolist(),
             "activation": p.activation} for p in pieces]
@@ -272,10 +280,10 @@ def cmd_identify(args) -> int:
     net = _load_net(args.network)
     _check_dim("--x1", len(args.x1), net.input_dim)
     _check_dim("--x2", len(args.x2), net.input_dim)
+    readout = _readout_from(args, net.layers[-1].width)
     try:
         pair = find_identified_pair(net, args.layer, args.unit, args.x1, args.x2,
-                                    target_tol=args.target_tol,
-                                    readout=_readout_from(args))
+                                    target_tol=args.target_tol, readout=readout)
     except (IdentificationError, ValueError) as exc:
         print(f"identification failed: {exc}", file=sys.stderr)
         return 1
@@ -416,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample points, one comma-separated row each; - for stdin")
     p.add_argument("--readout", metavar="ROWS",
                    help="optional linear readout 'c1,c2;d1,d2' applied after the net")
-    p.add_argument("--readout-offset", metavar="O1,O2,...")
+    p.add_argument("--readout-offset", type=_vector, metavar="O1,O2,...")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="coefficient tolerance for merging pieces")
     _add_output(p)
@@ -439,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-tol", type=float, default=1e-10)
     p.add_argument("--readout", metavar="ROWS",
                    help="optional linear readout; the unit indexes its rows")
-    p.add_argument("--readout-offset", metavar="O1,O2,...")
+    p.add_argument("--readout-offset", type=_vector, metavar="O1,O2,...")
     _add_output(p)
     p.set_defaults(func=cmd_identify)
 

@@ -25,8 +25,11 @@ child survives.  A rectifier plane that misses a cell by more than
 10*FEAS_TOL, on a cell whose witness is its vertex centroid, runs no clip:
 the one child keeps the parent's vertices and witness.  The rest (thin
 children, and children whose clip degenerated, which carry no vertices)
-are decided by the same clip run in ``Fraction`` arithmetic from the box
-corners, on the rows pulled in by ``FEAS_TOL``: the child survives iff
+are decided by the same clip run exactly from the box corners, on the
+rows pulled in by ``FEAS_TOL``.  A float is a dyadic rational, so that
+clip runs in integer homogeneous coordinates: each row is scaled to
+integers, each vertex is an integer vector (X, w) in lowest terms with
+w > 0, and only the sign of a slack is read.  The child survives iff
 that system is non-empty, and its witness is the rounded centroid of the
 exact vertices, kept only if its exact slack exceeds ``FEAS_TOL``.  The
 final cells hand their vertices to their regions, and the 2-d polygons
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,17 +149,27 @@ _ZERO_ROW = 1e-12
 _fraction = np.frompyfunc(Fraction, 1, 1)
 
 
-def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
-    """Exact strict feasibility of {x : normals@x < offsets}, for float
-    rows whose first 2*n0 are those of a box in ``_root_cell`` order.
+def _homogeneous(values) -> list[int]:
+    """Floats times their largest denominator, a power of two: integers in
+    the same ratios, so a row or a point in homogeneous coordinates."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    return [p * (d // q) for p, q in ratios]
 
-    The box corners, as Fractions, are clipped by every other row in the
-    order given (``_clip`` is exact on them); the system is feasible iff no
-    clip leaves an empty or flat polytope.  Returns (feasible, the centroid
-    of the exact vertices, strictly inside every row, or None).  The order
-    changes no answer, only the time: rows that empty the polytope early
-    are best first.
-    """
+
+def _lowest(v) -> tuple[int, ...]:
+    """A homogeneous vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
+
+
+def _exact_hull(normals, offsets) -> list[tuple[int, ...]] | None:
+    """The exact vertices behind ``exact_strictly_feasible``, or None when
+    a row leaves no full-dimensional polytope.  A vertex is a tuple (X, w)
+    of integers with gcd 1 and w > 0, the point X / w; its slack on a row
+    scaled to integers ``(-normal, offset)`` is a dot product, and only its
+    sign is read.  The new vertex on edge i-j is ``S_i V_j - S_j V_i``
+    (slacks S_i > 0 > S_j), reduced by its gcd."""
     normals, offsets = np.atleast_2d(normals), np.atleast_1d(offsets)
     n0 = normals.shape[1]
     box = tuple(zip(-offsets[1:2 * n0:2], offsets[:2 * n0:2]))
@@ -163,14 +177,38 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
     if not (np.array_equal(normals[:2 * n0], root.normals)
             and all(lo < hi for lo, hi in box)):
         raise ValueError("rows 0..2*n0-1 must be the rows of a box")
-    N, o = _fraction(normals), _fraction(offsets)
-    hull = (_fraction(root.vertices), root.tight)
-    for r in range(2 * n0, len(o)):
-        hull = _clip(*hull, o[r] - hull[0] @ N[r], r, 0)
-        if hull is None or hull[0] is None:  # empty, or no longer full-dimensional
-            return False, None
-    V = hull[0]
-    return True, (V.sum(axis=0) / len(V)).tolist()
+    V = [_lowest(_homogeneous(corner + [1.0])) for corner in root.vertices.tolist()]
+    tight = root.tight
+    rows = (-normals[2 * n0:]).tolist()
+    for r, (row, off) in enumerate(zip(rows, offsets[2 * n0:].tolist()), 2 * n0):
+        h = _homogeneous(row + [off])
+        S = [sum(map(operator.mul, h, v)) for v in V]
+        if max(S) <= 0:  # empty, or no longer full-dimensional
+            return None
+        if min(S) < 0:
+            kept, edges, tight = _cut(S, tight, n0, 1 << r, 0)
+            if len(kept) + len(edges) <= n0:
+                return None
+            V = [V[i] for i in kept] + [
+                _lowest([S[i] * q - S[j] * p for p, q in zip(V[i], V[j])]) for i, j in edges]
+    return V
+
+
+def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
+    """Exact strict feasibility of {x : normals@x < offsets}, for float
+    rows whose first 2*n0 are those of a box in ``_root_cell`` order.
+
+    The box corners are clipped by every other row in the order given, in
+    integer homogeneous coordinates, with no tolerance; the system is
+    feasible iff no clip leaves an empty or flat polytope.  Returns
+    (feasible, the centroid of the exact vertices as Fractions, strictly
+    inside every row, or None).  The order changes no answer, only the
+    time: rows that empty the polytope early are best first.
+    """
+    V = _exact_hull(normals, offsets)
+    if V is None:
+        return False, None
+    return True, [sum(Fraction(v[i], v[-1]) for v in V) / len(V) for i in range(len(V[0]) - 1)]
 
 
 def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
@@ -243,26 +281,64 @@ def _root_cell(box: Box) -> _Cell:
         normals += [up, down]
         offsets += [hi, -lo]
     V = np.array(list(itertools.product(*box)), float)
-    tight = [sum(1 << (2 * i + (x == lo)) for i, (x, (lo, _)) in enumerate(zip(v, box)))
-             for v in V.tolist()]
+    # in the order of the corners: lo sets bit 2i+1, hi bit 2i
+    tight = [sum(bits) for bits in itertools.product(*((2 << 2 * i, 1 << 2 * i)
+                                                       for i in range(n0)))]
     clearance = min((hi - lo) / 2 for lo, hi in box)
     return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), V.mean(axis=0), clearance,
                  True, V, tight)
 
 
 def _plane_tol(V) -> float:
-    # on-plane distance for float vertices; Fraction vertices clip exactly
-    return 0 if V.dtype == object else _ON_PLANE * max(1.0, float(np.abs(V).max()))
+    return _ON_PLANE * max(1.0, float(np.abs(V).max()))
+
+
+def _cut(slack, tight, n, bit, tol):
+    """The double-description step of both clips on the vertex slacks
+    ``slack``: a vertex within ``tol`` of the plane is kept and gains the
+    row's ``bit``, one beyond it outside is dropped.  Returns the indices
+    of the kept vertices, the (inside, dropped) pairs of the edges that
+    cross the plane, which share n-1 tight rows that no third vertex is
+    tight on, and the masks of the kept vertices, then of the new ones."""
+    inside, drop, kept, masks = [], [], [], []
+    for i, v in enumerate(slack):
+        if v < -tol:
+            drop.append(i)
+            continue
+        kept.append(i)
+        if v > tol:
+            inside.append(i)
+            masks.append(tight[i])
+        else:
+            masks.append(tight[i] | bit)
+    edges = []
+    for i in inside:
+        for j in drop:
+            common = tight[i] & tight[j]
+            if common.bit_count() < n - 1:
+                continue
+            on = 0  # vertices tight on common: i, j, and a third ends the scan
+            for m in tight:
+                if m & common == common:
+                    on += 1
+                    if on > 2:
+                        break
+            else:
+                edges.append((i, j))
+                masks.append(common | bit)
+    return kept, edges, masks
 
 
 def _clip(V, tight, s, r, margin):
-    """Cut the polytope with vertices ``V`` by ``row . x <= off``, the
-    cell's row ``r``, in one double-description step; ``s`` is the slack
-    ``off - V @ row`` of the vertices.
+    """Cut the polytope with float vertices ``V`` by ``row . x <= off``,
+    the cell's row ``r``, in one double-description step; ``s`` is the
+    slack ``off - V @ row`` of the vertices.
 
     Returns None when every vertex misses the row by more than ``margin``:
     the child is empty.  Otherwise returns the child's (vertices, tight),
-    both None when the clip leaves no full-dimensional polytope."""
+    both None when the clip leaves no full-dimensional polytope.  A new
+    vertex is interpolated along its edge; a vertex within ``_plane_tol``
+    of the plane lies on it."""
     top = s.max()
     if top < -margin:
         return None
@@ -272,31 +348,14 @@ def _clip(V, tight, s, r, margin):
     if s.min() >= -tol:
         return V, tight
     n = V.shape[1]
-    bit = 1 << r
     slack, pts = s.tolist(), V.tolist()
-    keep, drop, out, masks = [], [], [], []
-    for i, v in enumerate(slack):
-        if v < -tol:
-            drop.append(i)
-            continue
-        out.append(pts[i])
-        if v > tol:
-            keep.append(i)
-            masks.append(tight[i])
-        else:
-            masks.append(tight[i] | bit)
-    # an edge joins a kept and a dropped vertex sharing n-1 tight rows that
-    # no third vertex is tight on as well; it crosses the plane once
-    for i in keep:
-        for j in drop:
-            common = tight[i] & tight[j]
-            if (common.bit_count() >= n - 1
-                    and sum(m & common == common for m in tight) == 2):
-                lam = slack[i] / (slack[i] - slack[j])
-                out.append([a + lam * (b - a) for a, b in zip(pts[i], pts[j])])
-                masks.append(common | bit)
-    if len(out) <= n:
+    kept, edges, masks = _cut(slack, tight, n, 1 << r, tol)
+    if len(kept) + len(edges) <= n:
         return None, None
+    out = [pts[i] for i in kept]
+    for i, j in edges:
+        lam = slack[i] / (slack[i] - slack[j])
+        out.append([a + lam * (b - a) for a, b in zip(pts[i], pts[j])])
     return np.array(out), masks
 
 

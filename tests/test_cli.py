@@ -247,6 +247,27 @@ def test_point_of_the_wrong_dimension_is_an_input_error(abs_path, cmd, flag, cou
         f"error: {flag} has {count} coordinates, the network has 2 inputs\n")
 
 
+@pytest.mark.parametrize("readout, message", [
+    (["--readout", "1,1,0"], "--readout has a row of 3 columns, "
+                             "the network's last layer has 4 units"),
+    (["--readout", "1,1,0,0;0,0,1"], "--readout has a row of 3 columns, "
+                                     "the network's last layer has 4 units"),
+    (["--readout", "1,1,0,0;0,0,1,1", "--readout-offset", "1"],
+     "--readout-offset has 1 entries, --readout has 2 rows"),
+], ids=["columns", "ragged", "offset"])
+@pytest.mark.parametrize("cmd", [
+    ["identify", "--layer", "0", "--unit", "0", "--x1", "0.7,0.2", "--x2=-0.9,0.2"],
+    ["linmap", "--layer", "0", "--unit", "0", "--points", "-"],
+], ids=["identify", "linmap"])
+def test_readout_of_the_wrong_width_is_an_input_error(abs_path, cmd, readout, message,
+                                                      capsys, monkeypatch):
+    # the abs witness's last layer has 4 units; identify kept exit 1 for
+    # a failed identification, and both printed numpy's matmul error
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.5,0.5\n-0.5,0.5\n"))
+    assert main([cmd[0], abs_path] + cmd[1:] + readout) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_linmap_of_no_samples_lists_no_pieces(abs_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     with pytest.warns(UserWarning, match="no data"):
@@ -258,6 +279,15 @@ def test_identify_rejects_a_malformed_point(abs_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identify", abs_path, "--layer", "0", "--unit", "0",
               "--x1", "a,b", "--x2=-0.9,0.2"])
+    assert exc.value.code == 2
+    assert "not a comma-separated float list" in capsys.readouterr().err
+
+
+def test_readout_offset_rejects_a_malformed_list(abs_path, capsys):
+    # parsed by argparse, like --x1: a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["linmap", abs_path, "--layer", "0", "--unit", "0", "--points", "-",
+              "--readout", "1,1,0,0", "--readout-offset", "a"])
     assert exc.value.code == 2
     assert "not a comma-separated float list" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -213,9 +214,8 @@ def test_missed_planes_run_no_clip(name, monkeypatch):
         yield from true_children(cell, g, d, cfg)
 
     def clip(V, tight, s, r, m):
-        if V.dtype != object:
-            clips.append(r)
-            assert not cells[-1].centroid or (s.min() <= margin and s.max() >= -margin)
+        clips.append(r)
+        assert not cells[-1].centroid or (s.min() <= margin and s.max() >= -margin)
         return true_clip(V, tight, s, r, m)
 
     monkeypatch.setattr(regions, "_rectifier_children", children)
@@ -482,10 +482,15 @@ def test_overflowing_map_names_its_layer(layers, where):
         enumerate_regions(Network(1, layers))
 
 
+def _in_box(box, normals, offsets):
+    """The system behind the rows of ``box``, in cell order."""
+    root = regions._root_cell(box)
+    return np.vstack([root.normals, normals]), np.concatenate([root.offsets, offsets])
+
+
 def _boxed(normals, offsets, half=2.0):
     """The system behind the box rows of [-half, half]^n0, in cell order."""
-    root = regions._root_cell(((-half, half),) * np.shape(normals)[1])
-    return np.vstack([root.normals, normals]), np.concatenate([root.offsets, offsets])
+    return _in_box(((-half, half),) * np.shape(normals)[1], normals, offsets)
 
 
 def _exactly_inside(normals, offsets, point):
@@ -524,6 +529,112 @@ def test_exact_check_finishes_in_4d():
 def test_exact_check_needs_the_box_rows():
     with pytest.raises(ValueError, match="rows of a box"):
         exact_strictly_feasible(np.array([[-1.0], [1.0], [1.0]]), np.array([0.0, 1.0, 2.0]))
+
+
+# Fraction of every element of a float array, as an object array: exact.
+_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def reference_exact_strictly_feasible(normals, offsets):
+    """The exact check as it ran on object arrays of Fractions: the box
+    corners clipped by each further row, every new vertex interpolated
+    along its edge, and an edge found by counting the vertices tight on
+    the rows its ends share."""
+    n0 = normals.shape[1]
+    root = regions._root_cell(tuple(zip(-offsets[1:2 * n0:2], offsets[:2 * n0:2])))
+    N, o = _fraction(normals), _fraction(offsets)
+    V, tight = _fraction(root.vertices), root.tight
+    for r in range(2 * n0, len(o)):
+        s = o[r] - V @ N[r]
+        if s.max() <= 0:
+            return False, None
+        if s.min() >= 0:
+            continue
+        slack, pts = s.tolist(), V.tolist()
+        keep, drop, out, masks = [], [], [], []
+        for i, v in enumerate(slack):
+            if v < 0:
+                drop.append(i)
+                continue
+            out.append(pts[i])
+            if v > 0:
+                keep.append(i)
+                masks.append(tight[i])
+            else:
+                masks.append(tight[i] | 1 << r)
+        for i in keep:
+            for j in drop:
+                common = tight[i] & tight[j]
+                if (common.bit_count() >= n0 - 1
+                        and sum(m & common == common for m in tight) == 2):
+                    lam = slack[i] / (slack[i] - slack[j])
+                    out.append([a + lam * (b - a) for a, b in zip(pts[i], pts[j])])
+                    masks.append(common | 1 << r)
+        if len(out) <= n0:
+            return False, None
+        V, tight = np.array(out), masks
+    return True, (V.sum(axis=0) / len(V)).tolist()
+
+
+_NON_DYADIC = np.array([0.1, -0.1, 1 / 3, -1 / 3, 2 / 3, 0.3, -0.7, 0.0])
+
+
+def _exact_case(kind, n0, rng):
+    """One system of 1 to n0+4 rows of the given kind, with its box rows."""
+    m = int(rng.integers(1, n0 + 5))
+    box = ((-2.0, 2.0),) * n0
+    A = rng.integers(-2, 3, size=(m, n0)).astype(float)
+    if kind == "parallel":          # every row parallel to the first
+        A = A[:1] * rng.choice([-2.0, -1.0, 1.0, 3.0], size=(m, 1))
+        b = rng.integers(-3, 4, size=m).astype(float)
+    elif kind == "concurrent":      # planes through one integer point, or one step off it
+        if rng.random() < 0.5:      # the last row against the others: an empty cone
+            A[-1] = -A[:-1].sum(axis=0)
+        b = A @ rng.integers(-1, 2, size=n0) + (rng.random(m) < 0.2)
+    elif kind == "touch":           # planes through a box corner, the box on either side
+        corner = rng.choice([-2.0, 2.0], size=n0)
+        A[0] = rng.choice([-1.0, 1.0], size=(1,)) * np.sign(corner) * rng.integers(1, 3, n0)
+        b = A @ corner
+    elif kind == "non-dyadic":      # 0.1*3 != 0.3 in floats: near-concurrent slivers
+        A = rng.choice(_NON_DYADIC, size=(m, n0))
+        b = rng.choice(_NON_DYADIC, size=m)
+    elif kind == "thin":            # a side of width 3e-7, planes through its middle
+        box = ((0.1, 0.1 + 3e-7),) + ((-1.0, 1.0),) * (n0 - 1)
+        A = rng.normal(size=(m, n0))
+        b = A @ (np.array([0.1 + 1.5e-7] + [0.0] * (n0 - 1)) + 1e-7 * rng.normal(size=n0))
+    else:                           # "huge": a box of +-1e300, offsets near 1e-300
+        box = ((-1e300, 1e300),) * n0
+        A = rng.normal(size=(m, n0))
+        if rng.random() < 0.5:      # a cone at the origin, its emptiness up to the offsets
+            A[-1] = -A[:-1].sum(axis=0)
+        b = 1e-300 * rng.normal(size=m)
+    if rng.random() < 0.5:          # unit rows, as the enumerator carries them
+        norm = np.linalg.norm(A, axis=1, keepdims=True)
+        A, b = A / np.where(norm > 0, norm, 1), b / np.where(norm[:, 0] > 0, norm[:, 0], 1)
+    return _in_box(box, A, b)
+
+
+EXACT_CASES = ["parallel", "concurrent", "touch", "non-dyadic", "thin", "huge"]
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", EXACT_CASES)
+def test_exact_clip_matches_the_fraction_clip(kind, n0):
+    """The integer clip gives the Fraction clip's verdict and centroid, on
+    systems that reach its exact branches; every vertex it returns is in
+    lowest terms with w > 0, which bounds the growth of its integers."""
+    rng = np.random.default_rng([31, n0, EXACT_CASES.index(kind)])
+    verdicts = set()
+    for _ in range(25):
+        normals, offsets = _exact_case(kind, n0, rng)
+        want = reference_exact_strictly_feasible(normals, offsets)
+        assert exact_strictly_feasible(normals, offsets) == want
+        hull = regions._exact_hull(normals, offsets)
+        assert (hull is not None) == want[0]
+        for v in hull or ():
+            assert len(v) == n0 + 1 and math.gcd(*v) == 1 and v[-1] > 0
+        verdicts.add(want[0])
+    assert verdicts == {True, False}
 
 
 def test_exact_rational_backstop_keeps_counts():
