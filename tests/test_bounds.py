@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -53,6 +54,24 @@ def test_refined_lower_uses_remainder():
     # no remainder: the two coincide
     s = rectifier_structure(2, (4, 4))
     assert deep_rectifier_lower_refined(s) == deep_rectifier_lower(s)
+
+
+def refined_closed_form(n0, widths):
+    """q**(n0-m) * (q+1)**m per hidden layer, q, m = divmod(width, n0),
+    times the shallow maximum of the last layer."""
+    prod = 1
+    for w in widths[:-1]:
+        q, m = divmod(w, n0)
+        prod *= q ** (n0 - m) * (q + 1) ** m
+    return prod * shallow_max_regions(n0, widths[-1])
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 4])
+def test_refined_lower_matches_its_closed_form(n0):
+    for depth in (1, 2, 3):
+        for widths in itertools.product(range(n0, 13), repeat=depth):
+            s = rectifier_structure(n0, widths)
+            assert deep_rectifier_lower_refined(s) == refined_closed_form(n0, widths)
 
 
 def test_fold_counts():

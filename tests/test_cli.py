@@ -1,5 +1,6 @@
 """CLI surface: subcommand output, piping, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -311,3 +312,77 @@ def test_verify_all_byte_identical(tmp_path, acceptance_seed0):
     text = out.read_text()
     assert text.count("PASS") == 12
     assert text.rstrip().endswith("12/12 criteria passed")
+
+
+# --------------------------------------------------------------------------
+# byte pins: SHA-256 of stdout, stderr, exit code and written files
+
+
+def _transcript(argv, capsys, files=()) -> bytes:
+    code = main(argv)
+    captured = capsys.readouterr()
+    parts = [" ".join(argv), str(code), captured.out, captured.err]
+    parts += [f.read_text() if f.exists() else "<absent>" for f in files]
+    return "\x00".join(parts).encode() + b"\x01"
+
+
+BOUNDS_WIDTHS = ("1", "2", "3", "4,4,4", "5,3", "2,2,2", "6,7", "3,0")
+
+
+def test_bounds_output_is_pinned(capsys):
+    # n0 1-4, 8 width lists, rectifier and maxout ranks 2 and 3, json and text
+    digest = hashlib.sha256()
+    for n0 in range(1, 5):
+        for widths in BOUNDS_WIDTHS:
+            for rank in ([], ["--maxout-rank", "2"], ["--maxout-rank", "3"]):
+                for fmt in ("json", "text"):
+                    digest.update(_transcript(["bounds", "--n0", str(n0), "--widths", widths,
+                                               *rank, "--format", fmt], capsys))
+    assert digest.hexdigest() == (
+        "534cac1f4d223d77fa5a37b104e68cb5021a45639f88702e03680586efb123b5")
+
+
+CONSTRUCT_PINS = {
+    "sawtooth": (
+        ["--kind", "sawtooth"],
+        "fa6e85b56fa7fb9bae43b36d6870f25e43d8664d257c0d5fd336c6f9b33c6347"),
+    "sawtooth-theta": (
+        ["--kind", "sawtooth", "--theta", "0.5"],
+        "1b979a929cce069884684e533a75e146179cef406a0419f5b628e45fa83b64ee"),
+    "folding": (
+        ["--kind", "folding", "--n0", "2", "--widths", "4,4"],
+        "b43f371f70327f681f2198ddfaaec9e28e5dd26b39257b27953a7272279f7fdd"),
+    "folding-unrefined": (
+        ["--kind", "folding", "--n0", "2", "--widths", "5,3", "--unrefined"],
+        "47715e69152e683ee27643b8f4a4c96cd4a31f40fbd8b065d9486175a6af9b4d"),
+    "abs": (
+        ["--kind", "abs"],
+        "7e3e1b7893b5c60a0f7de78537a3725c25c37c724c3b4e2907a2726eec188686"),
+    "parallel": (
+        ["--kind", "parallel"],
+        "8d95ad45cb352f71e4a461793baef685420f7a9a874f3aef6fe1d1be8e5c415e"),
+    "rank2-rectifier": (
+        ["--kind", "rank2-rectifier", "--n0", "2"],
+        "bd0545de0e202f45b0e7516a125baeb27435ec16185e4100bc1381bbf2d2de80"),
+    "cones": (
+        ["--kind", "cones", "--k", "3"],
+        "f25cf31816c42985fe5f6e3afab80154560c59c55f2e9c5691a8757add7f885b"),
+    "shi": (
+        ["--kind", "shi", "--n", "3"],
+        "1c35bb9519a294c6e568b6811bd05a52cad9d79d8b691b1fd3155d2abcf6d58f"),
+    "catalan": (
+        ["--kind", "catalan", "--n", "3"],
+        "4380df08125e3e202676a2a044e1794438fd5afd5b33ddc3fc000fd4b3846c03"),
+    "cones-failing": (
+        ["--kind", "cones", "--n0", "3", "--k", "3"],
+        "6da0dad9745c883a09b8fed13dff621817de02294df1f3ae4c7c4b3a5f67c5cf"),
+}
+
+
+@pytest.mark.parametrize("variant", CONSTRUCT_PINS)
+def test_construct_output_is_pinned(variant, tmp_path, capsys):
+    args, pin = CONSTRUCT_PINS[variant]
+    net, wit = tmp_path / "net.json", tmp_path / "wit.json"
+    record = _transcript(["construct", *args, "-o", str(net), "--witness-out", str(wit)],
+                         capsys, (net, wit))
+    assert hashlib.sha256(record.replace(str(tmp_path).encode(), b"")).hexdigest() == pin
