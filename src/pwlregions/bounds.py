@@ -8,13 +8,12 @@ formula, so values are exact at any size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .network import (
     MAXOUT,
     RECTIFIER,
-    Network,
     NetworkStructure,
     parameter_count,
     rectifier_structure,
@@ -33,24 +32,14 @@ def shallow_max_regions(n0: int, n1: int) -> int:
     return sum(math.comb(n1, j) for j in range(n0 + 1))
 
 
-def _as_structure(structure) -> NetworkStructure:
-    if isinstance(structure, Network):
-        return structure_of(structure)
-    return structure
-
-
-def _total_units(s: NetworkStructure) -> int:
-    return sum(s.widths)
-
-
 def rectifier_upper_bound(structure) -> int:
     """2**N over the total unit count N: every unit is binary, so the
     activation patterns — and hence the regions — can never exceed this."""
-    s = _as_structure(structure)
+    s = structure_of(structure)
     for _, act in s.layers:
         if act.kind != RECTIFIER:
             raise ValueError("upper bound 2**N applies to rectifier stacks only")
-    return 2 ** _total_units(s)
+    return 2 ** sum(s.widths)
 
 
 def _check_deep_rectifier(s: NetworkStructure):
@@ -70,7 +59,7 @@ def deep_rectifier_lower(structure) -> int:
     prod_{l<L} floor(n_l/n0)^n0 times the shallow maximum of the last
     layer.  Requires every width >= n0.
     """
-    s = _as_structure(structure)
+    s = structure_of(structure)
     _check_deep_rectifier(s)
     n0 = s.input_dim
     widths = s.widths
@@ -82,15 +71,18 @@ def deep_rectifier_lower(structure) -> int:
 
 def deep_rectifier_lower_refined(structure) -> int:
     """Sharper variant: remainder units deepen the fold count of the last
-    n_l mod n0 coordinate groups instead of being wasted."""
-    s = _as_structure(structure)
+    n_l mod n0 coordinate groups instead of being wasted.
+
+    Each hidden layer multiplies the product of its ``fold_counts``, the
+    rule ``build_folding_rectifier_net`` folds by.
+    """
+    s = structure_of(structure)
     _check_deep_rectifier(s)
     n0 = s.input_dim
     widths = s.widths
     prod = 1
     for w in widths[:-1]:
-        q, m = divmod(w, n0)
-        prod *= q ** (n0 - m) * (q + 1) ** m
+        prod *= math.prod(fold_counts(n0, w))
     return prod * shallow_max_regions(n0, widths[-1])
 
 
@@ -173,7 +165,7 @@ class BoundReport:
 
 
 def bound_report(structure) -> BoundReport:
-    s = _as_structure(structure)
+    s = structure_of(structure)
     n0 = s.input_dim
     widths = s.widths
     kinds = {act.kind for _, act in s.layers}
@@ -185,7 +177,7 @@ def bound_report(structure) -> BoundReport:
     if kind == MAXOUT and len({act.rank for _, act in s.layers}) > 1:
         raise ValueError("maxout report needs a uniform rank")
 
-    total = _total_units(s)
+    total = sum(s.widths)
     params = parameter_count(s)
     shallow = upper = lower = refined = mo_lower = mo_upper = rpp = None
     if kind == RECTIFIER:
@@ -229,33 +221,18 @@ def bound_report(structure) -> BoundReport:
 
 
 def report_to_dict(r: BoundReport) -> dict:
-    def frac(f: Fraction) -> str:
-        return f"{f.numerator}/{f.denominator}"
-
-    doc: dict = {
-        "input_dim": r.input_dim,
-        "widths": list(r.widths),
-        "kind": r.kind,
-    }
-    if r.rank is not None:
-        doc["rank"] = r.rank
-    doc["total_units"] = r.total_units
-    doc["params"] = r.params
-    for key, val in (
-        ("shallow_max", r.shallow_max),
-        ("upper_2n", r.upper_2n),
-        ("deep_lower", r.deep_lower),
-        ("deep_lower_refined", r.deep_lower_refined),
-        ("maxout_lower", r.maxout_lower),
-        ("maxout_upper", r.maxout_upper),
-    ):
-        if val is not None:
-            doc[key] = val
-    if r.regions_per_param is not None:
-        deep, shallow = r.regions_per_param
-        doc["regions_per_param"] = {"deep": frac(deep), "shallow": frac(shallow)}
-    if r.notes:
-        doc["notes"] = list(r.notes)
+    """The report's fields in declaration order, without the None ones and
+    empty notes; tuples become lists, and the regions-per-parameter pair a
+    ``{"deep", "shallow"}`` dict of ``num/den`` strings."""
+    doc: dict = {}
+    for f in fields(r):
+        val = getattr(r, f.name)
+        if val is None or val == ():
+            continue
+        if f.name == "regions_per_param":
+            val = {key: f"{q.numerator}/{q.denominator}"
+                   for key, q in zip(("deep", "shallow"), val)}
+        doc[f.name] = list(val) if isinstance(val, tuple) else val
     return doc
 
 

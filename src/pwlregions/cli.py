@@ -71,51 +71,53 @@ from .serialize import render_json
 # --------------------------------------------------------------------------
 # small parsers shared by several subcommands
 
-def _widths(text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty width list")
-    return vals
+def _numbers(kind):
+    """The argparse ``type=`` of a comma-separated list of ``kind`` numbers,
+    read as a tuple.  Every item must parse: an empty or malformed one is a
+    usage error, which argparse reports under the flag's name."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(t) for t in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}") from None
+    return parse
 
 
-def _vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(t) for t in text.split(",") if t.strip()])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+_ints, _floats = _numbers(int), _numbers(float)
 
 
-def _parse_box(text: str, n0: int):
-    """A box flag is either a halfwidth (``3.0``) or explicit bound pairs
-    ``lo,hi;lo,hi`` (a single pair is broadcast over all inputs)."""
+def _rows(text: str) -> tuple:
+    """``c1,c2;d1,d2``: one float list per ``;``-separated row."""
+    return tuple(_floats(row) for row in text.split(";"))
+
+
+def _box_spec(text: str):
+    """A halfwidth (``3.0``) or explicit bound pairs ``lo,hi;lo,hi``."""
     if ";" not in text and "," not in text:
-        return ("halfwidth", float(text))
-    pairs = []
-    for chunk in text.split(";"):
-        parts = [float(t) for t in chunk.split(",")]
-        if len(parts) != 2 or parts[0] >= parts[1]:
-            raise ValueError(f"bad interval {chunk!r} in box spec")
-        pairs.append((parts[0], parts[1]))
-    if len(pairs) == 1:
-        pairs = pairs * n0
-    if len(pairs) != n0:
-        raise ValueError(f"box spec has {len(pairs)} intervals for {n0} inputs")
-    return ("box", tuple(pairs))
+        return _floats(text)[0]
+    pairs = _rows(text)
+    for chunk, pair in zip(text.split(";"), pairs):
+        if len(pair) != 2 or pair[0] >= pair[1]:
+            raise argparse.ArgumentTypeError(f"bad interval {chunk!r} in box spec")
+    return pairs
 
 
 def _feasibility(args, n0: int) -> FeasibilityConfig:
     kw = {}
-    if getattr(args, "box", None):
-        kind, value = _parse_box(args.box, n0)
-        kw["box_halfwidth" if kind == "halfwidth" else "box"] = value
-    if getattr(args, "cap", None):
+    box = getattr(args, "box", None)
+    if isinstance(box, float):
+        kw["box_halfwidth"] = box
+    elif box is not None:  # a single pair is broadcast over all inputs
+        pairs = box * n0 if len(box) == 1 else box
+        if len(pairs) != n0:
+            raise ValueError(f"box spec has {len(pairs)} intervals for {n0} inputs")
+        kw["box"] = pairs
+    if getattr(args, "cap", None) is not None:
+        if args.cap < 0:
+            raise ValueError("--cap must be >= 0")
         kw["region_cap"] = args.cap
-    if getattr(args, "exact_rational", False):
-        kw["exact_rational"] = True
-    return FeasibilityConfig(**kw)
+    return FeasibilityConfig(exact_rational=getattr(args, "exact_rational", False), **kw)
 
 
 def _load_net(path: str):
@@ -138,9 +140,9 @@ def _check_dim(flag: str, count: int, n0: int) -> None:
 def _readout_from(args, width: int) -> AffineMap | None:
     """The ``--readout`` map, whose rows must each have ``width`` columns,
     the width of the network's last layer."""
-    if not args.readout:
+    rows = args.readout
+    if rows is None:
         return None
-    rows = [[float(t) for t in chunk.split(",")] for chunk in args.readout.split(";")]
     for row in rows:
         if len(row) != width:
             raise ValueError(f"--readout has a row of {len(row)} columns, "
@@ -236,7 +238,7 @@ def cmd_oracle(args) -> int:
     if args.step is not None:
         if not 0 < args.step < np.inf:
             raise ValueError("--step must be a positive number")
-        span = box[0][1] - box[0][0]
+        span = max(hi - lo for lo, hi in box)  # no cell is wider than the step
         resolution = max(2, round(span / args.step))
     else:
         resolution = args.resolution
@@ -260,10 +262,8 @@ def cmd_regions2d(args) -> int:
 
 def cmd_linmap(args) -> int:
     net = _load_net(args.network)
-    if args.points == "-":
-        samples = np.loadtxt(sys.stdin, delimiter=",", ndmin=2)
-    else:
-        samples = np.loadtxt(args.points, delimiter=",", ndmin=2)
+    points = sys.stdin if args.points == "-" else args.points
+    samples = np.loadtxt(points, delimiter=",", ndmin=2)
     if samples.size:  # an empty file has no pieces, whatever its column count
         _check_dim("--points", samples.shape[1], net.input_dim)
     readout = _readout_from(args, net.layers[-1].width)
@@ -307,7 +307,7 @@ def _add_output(p):
 
 
 def _add_enum_flags(p):
-    p.add_argument("--box", metavar="SPEC",
+    p.add_argument("--box", type=_box_spec, metavar="SPEC",
                    help="halfwidth B for [-B,B]^n, or 'lo,hi;lo,hi' per input")
     p.add_argument("--cap", type=int, metavar="N",
                    help="abort once more than N regions are alive (exit 3)")
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "lower bounds for deep rectifier stacks (plain and "
                     "remainder-refined), and envelope bounds for maxout layers.")
     p.add_argument("--n0", type=int, required=True, help="input dimension")
-    p.add_argument("--widths", type=_widths, required=True, metavar="W1,W2,...")
+    p.add_argument("--widths", type=_ints, required=True, metavar="W1,W2,...")
     p.add_argument("--maxout-rank", type=int, default=None, metavar="K",
                    help="treat every unit as a rank-K maxout instead of a rectifier")
     p.add_argument("--format", choices=("json", "text"), default="text")
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None,
                    help="sawtooth threshold in (0,1): compose a step readout")
     p.add_argument("--n0", type=int, default=1, help="input dimension")
-    p.add_argument("--widths", type=_widths, default=(2, 2), metavar="W1,W2,...",
+    p.add_argument("--widths", type=_ints, default=(2, 2), metavar="W1,W2,...",
                    help="folding layer widths")
     p.add_argument("--n", type=int, default=3, help="parallel/shi/catalan dimension")
     p.add_argument("--m", type=int, default=2, help="parallel unit count")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid cells per axis (default 400)")
     p.add_argument("--step", type=float, default=None,
                    help="grid cell width; overrides --resolution")
-    p.add_argument("--box", metavar="SPEC",
+    p.add_argument("--box", type=_box_spec, metavar="SPEC",
                    help="halfwidth B, or 'lo,hi;lo,hi' per input")
     _add_output(p)
     p.set_defaults(func=cmd_oracle)
@@ -422,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", type=int, required=True, help="0-based unit index")
     p.add_argument("--points", required=True, metavar="CSV",
                    help="sample points, one comma-separated row each; - for stdin")
-    p.add_argument("--readout", metavar="ROWS",
+    p.add_argument("--readout", type=_rows, metavar="ROWS",
                    help="optional linear readout 'c1,c2;d1,d2' applied after the net")
-    p.add_argument("--readout-offset", type=_vector, metavar="O1,O2,...")
+    p.add_argument("--readout-offset", type=_floats, metavar="O1,O2,...")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="coefficient tolerance for merging pieces")
     _add_output(p)
@@ -440,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network", help="network JSON file, or - for stdin")
     p.add_argument("--layer", type=int, required=True, help="0-based layer index")
     p.add_argument("--unit", type=int, required=True, help="0-based unit index")
-    p.add_argument("--x1", type=_vector, required=True, metavar="A,B,...",
+    p.add_argument("--x1", type=_floats, required=True, metavar="A,B,...",
                    help="first point (use --x1=-1,2 for negative values)")
-    p.add_argument("--x2", type=_vector, required=True, metavar="A,B,...",
+    p.add_argument("--x2", type=_floats, required=True, metavar="A,B,...",
                    help="second point, to be adjusted")
     p.add_argument("--target-tol", type=float, default=1e-10)
-    p.add_argument("--readout", metavar="ROWS",
+    p.add_argument("--readout", type=_rows, metavar="ROWS",
                    help="optional linear readout; the unit indexes its rows")
-    p.add_argument("--readout-offset", type=_vector, metavar="O1,O2,...")
+    p.add_argument("--readout-offset", type=_floats, metavar="O1,O2,...")
     _add_output(p)
     p.set_defaults(func=cmd_identify)
 

@@ -16,7 +16,7 @@ their exactness box is the product of the first layer's fold intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,14 +56,10 @@ class WitnessSpec:
     count_box: Box | None    # None: any default-sized box works
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "predicted_count": self.predicted_count,
-            "provenance": self.provenance,
-            "exact": self.exact,
-            "count_box": None if self.count_box is None else [list(b) for b in self.count_box],
-        }
+        doc = asdict(self)
+        if self.count_box is not None:
+            doc["count_box"] = [list(b) for b in self.count_box]
+        return doc
 
 
 @dataclass(frozen=True)

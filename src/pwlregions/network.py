@@ -152,7 +152,10 @@ def maxout_structure(input_dim: int, widths: Sequence[int], rank: int) -> Networ
     return NetworkStructure(input_dim, tuple((w, act) for w in widths))
 
 
-def structure_of(net: Network) -> NetworkStructure:
+def structure_of(net: Network | NetworkStructure) -> NetworkStructure:
+    """The shape of ``net``; a structure is returned unchanged."""
+    if isinstance(net, NetworkStructure):
+        return net
     return NetworkStructure(
         net.input_dim, tuple((l.width, l.activation) for l in net.layers)
     )
@@ -160,8 +163,7 @@ def structure_of(net: Network) -> NetworkStructure:
 
 def parameter_count(structure: NetworkStructure | Network) -> int:
     """Total number of weights and biases: sum of rank*width*(fan_in+1)."""
-    if isinstance(structure, Network):
-        structure = structure_of(structure)
+    structure = structure_of(structure)
     total = 0
     fan = structure.input_dim
     for width, act in structure.layers:

@@ -303,6 +303,50 @@ def test_readout_does_not_hide_a_bad_layer(abs_path, cmd, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: layer 7 out of range\n"
 
 
+@pytest.mark.parametrize("cmd, flag", [
+    (["identify", "ABS", "--layer", "0", "--unit", "0", "--x1", "0.7,,0.2", "--x2=-0.9,0.2",
+      "--readout", "1,1,0,0;0,0,1,1"], "--x1"),
+    (["bounds", "--n0", "2", "--widths", "4,,4"], "--widths"),
+    (["identify", "ABS", "--layer", "0", "--unit", "0", "--x1", "0.7,0.2", "--x2=-0.9,0.2",
+      "--readout", "1,1,0,0;0,0,1,1", "--readout-offset", "1,,"], "--readout-offset"),
+    (["identify", "ABS", "--layer", "0", "--unit", "0", "--x1", "0.7,0.2", "--x2=-0.9,0.2",
+      "--readout", "1,1,,0;0,0,1,1"], "--readout"),
+    (["enumerate", "ABS", "--box", "0,1;"], "--box"),
+], ids=["x1", "widths", "readout-offset", "readout", "box"])
+def test_an_empty_list_item_is_a_usage_error(abs_path, cmd, flag, capsys):
+    # every list flag goes through one parser; an empty item used to be
+    # skipped (--x1, --widths, --readout-offset) or fail as a bare ValueError
+    with pytest.raises(SystemExit) as exc:
+        main([abs_path if a == "ABS" else a for a in cmd])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not a comma-separated " in err
+
+
+def test_cap_zero_stops_at_the_first_cell(abs_path, capsys):
+    assert main(["enumerate", abs_path, "--cap", "0", "--format", "text"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("region cap exceeded: 1 regions alive at cap 0 at ")
+
+
+def test_negative_cap_is_a_usage_error(abs_path, capsys):
+    assert main(["enumerate", abs_path, "--cap=-3", "--format", "text"]) == 2
+    assert capsys.readouterr().err == "error: --cap must be >= 0\n"
+
+
+def test_oracle_step_sizes_the_grid_by_the_widest_side(tmp_path, capsys):
+    # relu(y - 1) and relu(y - 2): 3 regions in y; a grid sized by the x
+    # side alone makes the y cells 5 wide and sees 2 of them
+    net = tmp_path / "steps.json"
+    save_network(Network(2, (Layer([[0, 1], [0, 1]], [-1, -2]),)), str(net))
+    for flags in (["--step", "0.5"], ["--resolution", "40"]):
+        assert main(["oracle", str(net), "--box=-1,1;-10,10", *flags]) == 0
+        assert capsys.readouterr().out == "3\n"
+    assert main(["enumerate", str(net), "--box=-1,1;-10,10", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "regions: 3\n"
+
+
 def test_verify_all_byte_identical(tmp_path, acceptance_seed0):
     # one CLI run against the session's own run of the suite: two
     # independent runs, compared byte for byte
