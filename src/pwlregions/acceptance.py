@@ -36,7 +36,7 @@ from .linmap import (
     unit_activation,
     unit_linear_map,
 )
-from .network import ACT_RECTIFIER, Layer, Network, rectifier_structure
+from .network import Layer, Network, rectifier_structure
 from .regions import (
     FeasibilityConfig,
     count_regions,
@@ -64,9 +64,19 @@ def _cfg_for(con) -> FeasibilityConfig:
     return FeasibilityConfig(box=con.spec.count_box)
 
 
-def _arrangement_cfg(W, b) -> FeasibilityConfig:
+def _gaussian_net(rng, n0: int, widths) -> Network:
+    """A rectifier net of standard normal weights and biases, drawn layer
+    by layer, weights first."""
+    fans = (n0, *widths)
+    return Network(n0, tuple(Layer(rng.normal(size=(w, fan)), rng.normal(size=w))
+                             for fan, w in zip(fans, widths)))
+
+
+def _arrangement_cfg(layer: Layer) -> FeasibilityConfig:
     """The default box, widened to twice the farthest vertex of the line
-    arrangement ``W x + b = 0``: the binomial count needs every vertex."""
+    arrangement ``W x + b = 0`` of ``layer``: the binomial count needs
+    every vertex."""
+    W, b = layer.weights, layer.bias
     far = 0.0
     for r, s in itertools.combinations(range(len(b)), 2):
         A = W[[r, s]]
@@ -79,11 +89,9 @@ def c01_shallow_attainment(seed: int) -> CriterionResult:
     hits = 0
     for i in range(20):
         n1 = (i % 8) + 1
-        rng = np.random.default_rng([seed, 1, i])
-        W = rng.normal(size=(n1, 2))
-        b = rng.normal(size=n1)
+        net = _gaussian_net(np.random.default_rng([seed, 1, i]), 2, (n1,))
         # the binomial sum is reached iff the lines are in general position
-        count = count_regions(Network(2, (Layer(W, b, ACT_RECTIFIER),)), _arrangement_cfg(W, b))
+        count = count_regions(net, _arrangement_cfg(net.layers[0]))
         if count == shallow_max_regions(2, n1):
             hits += 1
     return CriterionResult("c01", "shallow-attainment", hits == 20,
@@ -105,12 +113,7 @@ def c02_upper_bound(seed: int) -> CriterionResult:
             total += w
         if not widths:
             widths = [1]
-        fan = n0
-        layers = []
-        for w in widths:
-            layers.append(Layer(rng.normal(size=(w, fan)), rng.normal(size=w), ACT_RECTIFIER))
-            fan = w
-        count = count_regions(Network(n0, tuple(layers)), FeasibilityConfig())
+        count = count_regions(_gaussian_net(rng, n0, widths), FeasibilityConfig())
         if count > rectifier_upper_bound(rectifier_structure(n0, tuple(widths))):
             violations += 1
     return CriterionResult("c02", "upper-bound-2N", violations == 0,
@@ -184,12 +187,7 @@ def c08_rank2_equivalence(seed: int) -> CriterionResult:
 
 def c09_unit_maps(seed: int) -> CriterionResult:
     rng = np.random.default_rng([seed, 9])
-    layers = []
-    fan = 2
-    for w in (4, 4, 3):
-        layers.append(Layer(rng.normal(size=(w, fan)), rng.normal(size=w), ACT_RECTIFIER))
-        fan = w
-    net = Network(2, tuple(layers))
+    net = _gaussian_net(rng, 2, (4, 4, 3))
     checked = 0
     worst_grad = 0.0
     worst_val = 0.0

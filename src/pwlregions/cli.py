@@ -37,6 +37,7 @@ from .acceptance import format_table, run_all
 from .bounds import bound_report, report_to_dict, report_to_text
 from .constructions import (
     ConstructionError,
+    SimulationPair,
     build_abs_net,
     build_catalan_layer,
     build_folding_rectifier_net,
@@ -174,40 +175,30 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-_KINDS = ("sawtooth", "folding", "abs", "parallel", "rank2-rectifier",
-          "cones", "shi", "catalan")
-
-
-def _build(args):
-    kind = args.kind
-    if kind == "sawtooth":
-        if args.theta is not None:
-            return sawtooth_with_threshold(args.p, args.theta), None
-        return sawtooth_network(args.p, n0=args.n0), None
-    if kind == "folding":
-        return build_folding_rectifier_net(args.n0, args.widths, seed=args.seed,
-                                           refined=not args.unrefined), None
-    if kind == "abs":
-        return build_abs_net(), None
-    if kind == "parallel":
-        return build_maxout_parallel(args.n, args.m, args.k), None
-    if kind == "rank2-rectifier":
-        pair = build_rank2_maxout_as_rectifier(args.n0, args.L, seed=args.seed)
-        return pair.rectifier, pair.certificate
-    if kind == "cones":
-        return build_maxout_cones(args.n0, args.L, args.k, rotation=args.rotation), None
-    if kind == "shi":
-        return build_shi_layer(args.n), None
-    assert kind == "catalan"
-    return build_catalan_layer(args.n), None
+# --kind: the builder of each witness, in the order --help lists them
+_BUILDERS = {
+    "sawtooth": lambda a: (sawtooth_network(a.p, n0=a.n0) if a.theta is None
+                           else sawtooth_with_threshold(a.p, a.theta)),
+    "folding": lambda a: build_folding_rectifier_net(a.n0, a.widths, seed=a.seed,
+                                                     refined=not a.unrefined),
+    "abs": lambda a: build_abs_net(),
+    "parallel": lambda a: build_maxout_parallel(a.n, a.m, a.k),
+    "rank2-rectifier": lambda a: build_rank2_maxout_as_rectifier(a.n0, a.L, seed=a.seed),
+    "cones": lambda a: build_maxout_cones(a.n0, a.L, a.k, rotation=a.rotation),
+    "shi": lambda a: build_shi_layer(a.n),
+    "catalan": lambda a: build_catalan_layer(a.n),
+}
 
 
 def cmd_construct(args) -> int:
     try:
-        con, certificate = _build(args)
+        con = _BUILDERS[args.kind](args)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
+    certificate = None
+    if isinstance(con, SimulationPair):  # emit the rectifier simulation
+        con, certificate = con.rectifier, con.certificate
     _emit(render_json(network_to_dict(con.network)), args.output)
     if args.witness_out:
         doc = con.spec.to_dict()
@@ -348,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "parallel maxout (k^min(n,m)), rank2-rectifier (rectifier "
                     "simulation of a rank-2 maxout stack), cones (k^(L-1+n0) "
                     "lower bound), shi ((n+1)^(n-1)), catalan (n!*Catalan(n)).")
-    p.add_argument("--kind", choices=_KINDS, required=True)
+    p.add_argument("--kind", choices=_BUILDERS, required=True)
     p.add_argument("--p", type=int, default=3, help="sawtooth fold count")
     p.add_argument("--theta", type=float, default=None,
                    help="sawtooth threshold in (0,1): compose a step readout")

@@ -15,7 +15,9 @@ their exactness box is the product of the first layer's fold intervals.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,8 +54,8 @@ class WitnessSpec:
     params: dict
     predicted_count: int
     provenance: str          # name of the counting formula instantiated
-    exact: bool              # True: count == predicted on count_box; False: >=
-    count_box: Box | None    # None: any default-sized box works
+    exact: bool = True       # True: count == predicted on count_box; False: >=
+    count_box: Box | None = None  # None: any default-sized box works
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -124,7 +126,6 @@ def sawtooth_network(p: int, n0: int = 1, coordinate: int = 0) -> Construction:
         params={"p": p, "n0": n0, "coordinate": coordinate},
         predicted_count=p + 1,
         provenance="fold pieces p plus the constant tail",
-        exact=True,
         count_box=tuple(
             (-1.0, float(p) + 1.0) if i == coordinate else (-1.0, 1.0) for i in range(n0)
         ),
@@ -148,8 +149,6 @@ def sawtooth_with_threshold(p: int, theta: float) -> Construction:
         params={"p": p, "theta": float(theta)},
         predicted_count=2 * p + 1,
         provenance="p fold breaks + p threshold crossings + 1",
-        exact=True,
-        count_box=None,
     )
     return Construction(Network(1, (layer, second)), spec)
 
@@ -226,12 +225,9 @@ def build_folding_rectifier_net(
     layers = []
     stages = []
     mixing_prev = np.eye(n0)       # folded coords as a map on previous activations
-    first_folds = [1] * n0
     all_folds = []
     for li, w in enumerate(widths[:-1]):
         folds = fold_counts(n0, w, refined=refined)
-        if li == 0:
-            first_folds = list(folds)
         all_folds.append(list(folds))
         # raw rows live in folded coordinates (R^n0); absorption multiplies
         # in the previous layer's mixing matrix
@@ -269,9 +265,6 @@ def build_folding_rectifier_net(
     predicted = (
         deep_rectifier_lower_refined(structure) if refined else deep_rectifier_lower(structure)
     )
-    count_box = tuple((0.0, float(p)) for p in first_folds) if L > 1 else tuple(
-        (0.0, 1.0) for _ in range(n0)
-    )
     spec = WitnessSpec(
         kind="FoldingRectifierNet",
         params={
@@ -286,8 +279,8 @@ def build_folding_rectifier_net(
             "product of fold counts times the last arrangement's cell count"
             + (" (remainder-refined)" if refined else "")
         ),
-        exact=True,
-        count_box=count_box,
+        # the first layer's fold intervals; with no fold layer, the unit cube
+        count_box=tuple((0.0, float(p)) for p in (all_folds or [[1] * n0])[0]),
     )
     net = Network(n0, tuple(layers))
     readout = AffineMap(mixing_prev, np.zeros(n0)) if L > 1 else None
@@ -308,10 +301,28 @@ def build_abs_net() -> Construction:
         params={"n0": 2},
         predicted_count=4,
         provenance="coordinate sign quadrants",
-        exact=True,
-        count_box=None,
     )
     return Construction(Network(2, (Layer(W, b, ACT_RECTIFIER),)), spec, readout=readout)
+
+
+def _parallel_layer(n: int, coords, biases) -> Layer:
+    """Rank-k maxout layer on R^n, k = len(biases): unit u has the branches
+    t * x_c + biases[t-1], t = 1..k, on the coordinate c = coords[u]."""
+    k = len(biases)
+    rows = np.zeros((len(coords), k, n))
+    for u, c in enumerate(coords):
+        rows[u, :, c] = np.arange(1, k + 1)
+    return Layer(rows.reshape(-1, n), np.tile(biases, len(coords)), maxout(k))
+
+
+def _difference_layer(n: int, slopes, biases) -> Layer:
+    """Maxout layer on R^n of rank len(slopes), one unit per pair i < j,
+    whose branch t is slopes[t] * (x_i - x_j) + biases[t]."""
+    eye = np.eye(n)
+    d = np.array([eye[i] - eye[j] for i, j in itertools.combinations(range(n), 2)])
+    # + 0.0 turns a zero slope's 0.0 * -1.0 = -0.0 into 0.0, which renders as 0
+    rows = np.asarray(slopes, float)[None, :, None] * d[:, None, :] + 0.0
+    return Layer(rows.reshape(-1, n), np.tile(biases, len(d)), maxout(len(slopes)))
 
 
 def build_maxout_parallel(n: int, m: int, k: int) -> Construction:
@@ -319,23 +330,15 @@ def build_maxout_parallel(n: int, m: int, k: int) -> Construction:
     x_{j mod n} = 1, ..., k-1; regions form a k^min(n,m) grid."""
     if n < 1 or m < 1 or k < 2:
         raise ValueError("need n, m >= 1 and k >= 2")
-    rows, bias = [], []
-    for j in range(m):
-        coord = j % n
-        for t in range(1, k + 1):
-            r = np.zeros(n)
-            r[coord] = float(t)
-            rows.append(r)
-            bias.append(-t * (t - 1) / 2.0)
+    biases = [-t * (t - 1) / 2.0 for t in range(1, k + 1)]
     spec = WitnessSpec(
         kind="MaxoutParallel",
         params={"n": n, "m": m, "k": k},
         predicted_count=k ** min(n, m),
         provenance="parallel-breakpoint grid k^min(n,m)",
-        exact=True,
-        count_box=None,
     )
-    return Construction(Network(n, (Layer(np.array(rows), np.array(bias), maxout(k)),)), spec)
+    return Construction(Network(n, (_parallel_layer(n, [j % n for j in range(m)], biases),)),
+                        spec)
 
 
 def build_shi_layer(n: int) -> Construction:
@@ -343,22 +346,14 @@ def build_shi_layer(n: int) -> Construction:
     x_i - x_j in {0, 1} for all i < j: (n+1)^(n-1) regions."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows, bias = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i], d[j] = 1.0, -1.0
-            rows.extend([np.zeros(n), d, 2.0 * d])
-            bias.extend([0.0, 0.0, -1.0])
     spec = WitnessSpec(
         kind="ShiLayer",
         params={"n": n},
         predicted_count=(n + 1) ** (n - 1),
         provenance="difference arrangement with offsets {0,1}: (n+1)^(n-1)",
-        exact=True,
-        count_box=None,
     )
-    return Construction(Network(n, (Layer(np.array(rows), np.array(bias), maxout(3)),)), spec)
+    layer = _difference_layer(n, [0.0, 1.0, 2.0], [0.0, 0.0, -1.0])
+    return Construction(Network(n, (layer,)), spec)
 
 
 def build_catalan_layer(n: int) -> Construction:
@@ -366,23 +361,15 @@ def build_catalan_layer(n: int) -> Construction:
     n! * Catalan(n) regions."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows, bias = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i], d[j] = 1.0, -1.0
-            rows.extend([d, 2.0 * d, 3.0 * d, 4.0 * d])
-            bias.extend([0.0, 1.0, 1.0, 0.0])
     catalan = math.comb(2 * n, n) // (n + 1)
     spec = WitnessSpec(
         kind="CatalanLayer",
         params={"n": n},
         predicted_count=math.factorial(n) * catalan,
         provenance="difference arrangement with offsets {-1,0,1}: n!*C_n",
-        exact=True,
-        count_box=None,
     )
-    return Construction(Network(n, (Layer(np.array(rows), np.array(bias), maxout(4)),)), spec)
+    layer = _difference_layer(n, [1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 0.0])
+    return Construction(Network(n, (layer,)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +395,6 @@ def build_rank2_folding_maxout(n0: int, L: int) -> Construction:
         params={"n0": n0, "L": L, "k": 2},
         predicted_count=2 ** (n0 * L),
         provenance="dyadic coordinate folding 2^(n0 L)",
-        exact=True,
-        count_box=None,
     )
     return Construction(Network(n0, tuple(layers)), spec)
 
@@ -471,8 +456,6 @@ def build_rank2_maxout_as_rectifier(n0: int, L: int, seed: int = 0,
         params={"n0": n0, "L": L, "margins": margins},
         predicted_count=2 ** (n0 * L),
         provenance="dyadic coordinate folding 2^(n0 L); break-carrying unit pairs",
-        exact=True,
-        count_box=None,
     )
     sim = Construction(Network(n0, tuple(sim_layers)), sim_spec, readout=readout)
 
@@ -493,16 +476,10 @@ _GRID_SPACING = 0.2       # last-layer breakpoint spacing around the origin
 
 def _grid_layer(n0: int, k: int) -> Layer:
     """Rank-k layer with per-coordinate envelope breaks spread around 0."""
-    rows, bias = [], []
-    for j in range(n0):
-        beta = 0.0
-        for t in range(1, k + 1):
-            r = np.zeros(n0)
-            r[j] = float(t)
-            rows.append(r)
-            bias.append(beta)
-            beta -= (t - k / 2.0) * _GRID_SPACING   # break between t, t+1
-    return Layer(np.array(rows), np.array(bias), maxout(k))
+    # the bias steps down by (t - k/2) * spacing from branch t to t+1
+    steps = ((t - k / 2.0) * _GRID_SPACING for t in range(1, k))
+    biases = list(itertools.accumulate(steps, operator.sub, initial=0.0))
+    return _parallel_layer(n0, range(n0), biases)
 
 
 def build_maxout_cones(n0: int, L: int, k: int, rotation: float = 1e-2) -> Construction:
@@ -528,7 +505,6 @@ def build_maxout_cones(n0: int, L: int, k: int, rotation: float = 1e-2) -> Const
             predicted_count=predicted,
             provenance="k^(L-1+n0) via dyadic folding (which attains 2^(n0 L))",
             exact=False,
-            count_box=None,
         )
         return Construction(folding.network, spec)
     if n0 != 2:
@@ -563,7 +539,6 @@ def build_maxout_cones(n0: int, L: int, k: int, rotation: float = 1e-2) -> Const
         predicted_count=predicted,
         provenance="k identified sectors per hidden layer times a k^n0 grid",
         exact=False,
-        count_box=None,
     )
     got = enumerate_regions(net).count
     if got < predicted:

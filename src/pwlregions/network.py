@@ -6,9 +6,10 @@ affine readout applied after the last hidden layer never changes where the
 computed function switches affine pieces, so it is kept out of the model;
 constructions that need one carry it separately.
 
-Rectifier units compute ``max(0, w.x + b)``.  A maxout unit of rank k keeps
-k rows of weights/biases (stored consecutively: unit j of a rank-k layer
-owns rows ``j*k .. j*k+k-1``) and outputs the largest of its k branch
+An activation is its rank.  Rank 1 is a rectifier unit, computing
+``max(0, w.x + b)``.  A maxout unit of rank k >= 2 keeps k rows of
+weights/biases (stored consecutively: unit j of a rank-k layer owns rows
+``j*k .. j*k+k-1``) and outputs the largest of its k branch
 pre-activations.
 
 Activation-pattern conventions, used consistently everywhere:
@@ -39,25 +40,24 @@ class NetworkFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Activation:
-    kind: str
-    rank: int = 1
+    rank: int = 1  # 1: rectifier; k >= 2: rank-k maxout
 
     def __post_init__(self):
-        if self.kind == RECTIFIER:
-            if self.rank != 1:
-                raise ValueError("rectifier activation has rank 1")
-        elif self.kind == MAXOUT:
-            if self.rank < 2:
-                raise ValueError("maxout rank must be >= 2")
-        else:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
+        if self.rank < 1:
+            raise ValueError("activation rank must be >= 1")
+
+    @property
+    def kind(self) -> str:
+        return RECTIFIER if self.rank == 1 else MAXOUT
 
 
-ACT_RECTIFIER = Activation(RECTIFIER, 1)
+ACT_RECTIFIER = Activation()
 
 
 def maxout(rank: int) -> Activation:
-    return Activation(MAXOUT, rank)
+    if rank < 2:
+        raise ValueError("maxout rank must be >= 2")
+    return Activation(rank)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -353,7 +353,7 @@ def network_from_dict(doc) -> Network:
             rank = entry["rank"]
             _require(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 2,
                      where, "rank must be an integer >= 2")
-            act = Activation(MAXOUT, rank)
+            act = maxout(rank)
         allowed = {"activation", "rank", "width", "weights", "bias"}
         unknown = set(entry) - allowed
         _require(not unknown, where, f"unknown fields {sorted(unknown)}")

@@ -22,8 +22,8 @@ than 10*FEAS_TOL, the child is empty.  Otherwise its witness is the
 centroid of its vertices, and its clearance the centroid's smallest slack,
 a lower bound on the Chebyshev radius: if that exceeds ``FEAS_TOL`` the
 child survives.  A rectifier plane that misses a cell by more than
-10*FEAS_TOL, on a cell whose witness is its vertex centroid, runs no clip:
-the one child keeps the parent's vertices and witness.  The rest (thin
+10*FEAS_TOL, on a cell that carries vertices, runs no clip: the one child
+keeps the parent's vertices and witness.  The rest (thin
 children, and children whose clip degenerated, which carry no vertices)
 are decided by the same clip run exactly from the box corners, on the
 rows pulled in by ``FEAS_TOL``.  A float is a dyadic rational, so that
@@ -212,9 +212,9 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
 
 
 def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
-    """(witness, clearance, whether the witness is the centroid of ``V``)
-    for the strict system, or None when its Chebyshev radius is at most
-    ``FEAS_TOL`` (in exact mode: when it is empty in exact arithmetic).
+    """(witness, clearance) for the strict system, or None when its
+    Chebyshev radius is at most ``FEAS_TOL`` (in exact mode: when it is
+    empty in exact arithmetic).
 
     The witness is the centroid of the child's vertices ``V`` when its
     smallest slack exceeds ``FEAS_TOL``.  Otherwise the exact clip decides
@@ -227,7 +227,7 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
         w = V.mean(axis=0)
         s = float((offsets - normals @ w).min())
         if s > FEAS_TOL:
-            return w, s, True
+            return w, s
     margin = 0.0 if cfg.exact_rational else FEAS_TOL
     key = offsets - normals @ anchor
     key[:2 * normals.shape[1]] = -np.inf
@@ -237,7 +237,7 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
         return None
     w = np.array([float(v) for v in point])
     slack = (_fraction(offsets) - _fraction(normals) @ _fraction(w)).min()
-    return (w, float(slack), False) if slack > margin else None
+    return (w, float(slack)) if slack > margin else None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,6 @@ class _Cell:
     c: np.ndarray
     witness: np.ndarray
     clearance: float
-    centroid: bool              # whether the witness is vertices.mean(axis=0)
     # Vertices of the closed cell, (k, n0), or None once a clip has
     # degenerated: the cell and its descendants then rely on the exact
     # clip alone.
@@ -286,7 +285,7 @@ def _root_cell(box: Box) -> _Cell:
                                                        for i in range(n0)))]
     clearance = min((hi - lo) / 2 for lo, hi in box)
     return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), V.mean(axis=0), clearance,
-                 True, V, tight)
+                 V, tight)
 
 
 def _plane_tol(V) -> float:
@@ -361,7 +360,7 @@ def _clip(V, tight, s, r, margin):
 
 def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
     """Feasibility of cell + new strict rows.  Returns (witness, clearance,
-    centroid, vertices, tight) of the child, or None when it is empty.
+    vertices, tight) of the child, or None when it is empty.
     ``s``, if given, is the slack of the cell's vertices on its one new row.
 
     The parent's vertices are clipped by each new row in turn; when every
@@ -369,7 +368,7 @@ def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
     ``_feasible_child`` decides the rest.
     """
     if not new_rows:
-        return cell.witness, cell.clearance, cell.centroid, cell.vertices, cell.tight
+        return cell.witness, cell.clearance, cell.vertices, cell.tight
     hull = (cell.vertices, cell.tight)
     for j, (row, off) in enumerate(new_rows):
         if hull[0] is None:
@@ -395,9 +394,9 @@ def _norm(v) -> float:
 
 def _rectifier_children(cell: _Cell, g, d, cfg):
     """(state, new rows, child from ``_try_extend``) of one rectifier unit
-    on one cell.  If the cell's witness is its vertex centroid and the
-    plane misses the cell by more than 10*FEAS_TOL, the one child keeps
-    the parent's vertices and witness, and no clip runs."""
+    on one cell.  If the cell carries vertices and the plane misses them
+    by more than 10*FEAS_TOL, the one child keeps the parent's vertices
+    and witness, and no clip runs."""
     norm = _norm(g)
     if norm < _ZERO_ROW * max(1.0, abs(d)):
         # Unit is constant on the whole input space of this cell; the sign
@@ -408,7 +407,7 @@ def _rectifier_children(cell: _Cell, g, d, cfg):
     row, off = -g / norm, d / norm
     V = cell.vertices
     s = None if V is None else off - V @ row
-    if cell.centroid:
+    if V is not None:
         lo, hi, margin = s.min(), s.max(), 10 * FEAS_TOL
         side = 1 if lo > margin else -1 if hi < -margin else 0
         # and the clip would hand the vertices back, not call them flat
@@ -416,7 +415,7 @@ def _rectifier_children(cell: _Cell, g, d, cfg):
             t = side * float(off - row @ cell.witness)
             if t > FEAS_TOL:
                 yield int(side > 0), [(side * row, side * off)], (
-                    cell.witness, min(cell.clearance, t), True, V, cell.tight)
+                    cell.witness, min(cell.clearance, t), V, cell.tight)
                 return
     yield 1, [(row, off)], _try_extend(cell, [(row, off)], cfg, s)
     yield 0, [(-row, -off)], _try_extend(cell, [(-row, -off)], cfg, None if s is None else -s)
@@ -554,6 +553,10 @@ _GRID_OFFSET = (5.0 ** 0.5 - 1.0) / 2.0
 # rectifier layers peaks near 20 MB at any resolution.
 _GRID_BLOCK = 1 << 16
 
+# Most grid points the oracle walks: on one core of a 2-core Xeon host, a
+# 2-d net of two 4-wide rectifier layers takes about 6 s for 2.5 * 10**7.
+_GRID_LIMIT = 10**8
+
 
 def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
     """Distinct activation patterns on a regular grid over ``box``.
@@ -565,8 +568,10 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
     once the grid is fine enough that every cell catches a point.  Only
     implemented for 1 or 2 input dimensions.
 
-    The grid is walked ``_GRID_BLOCK`` points at a time, so memory does
-    not grow with the resolution.  A pattern row is one int8 per unit, so
+    The grid is walked ``_GRID_BLOCK`` points at a time, each point's
+    coordinates computed from its indices, so memory does not grow with
+    the resolution.  Time does, so grids of more than ``_GRID_LIMIT``
+    points are refused.  A pattern row is one int8 per unit, so
     two rows are the same pattern exactly when their bytes are equal:
     each block's rows are counted as opaque byte strings, and so are the
     distinct rows of all blocks together.
@@ -577,17 +582,17 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
         raise ValueError("grid oracle supports input dimension <= 2")
     if len(box) != net.input_dim:
         raise ValueError("box dimension mismatch")
-    axes = []
-    for lo, hi in box:
-        step = (hi - lo) / resolution
-        axes.append(lo + step * (np.arange(resolution) + _GRID_OFFSET))
-    shape = (resolution,) * net.input_dim
     total = resolution ** net.input_dim
+    if total > _GRID_LIMIT:
+        raise ValueError(f"grid of {total} points exceeds the oracle's limit of "
+                         f"{_GRID_LIMIT} points; use a coarser grid")
+    shape = (resolution,) * net.input_dim
     seen = []
     for start in range(0, total, _GRID_BLOCK):
-        # point i is (axes[0][i // resolution], axes[1][i % resolution])
+        # point i has indices (i // resolution, i % resolution)
         index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, total)), shape)
-        X = np.column_stack([a[i] for a, i in zip(axes, index)])
+        X = np.column_stack([lo + (hi - lo) / resolution * (i + _GRID_OFFSET)
+                             for (lo, hi), i in zip(box, index)])
         # rows of bytes: the hstack of transposed states comes F-ordered
         pats = np.ascontiguousarray(pattern_matrix(net, X))
         row = np.dtype((np.void, pats.shape[1] * pats.itemsize))

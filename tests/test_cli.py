@@ -3,10 +3,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwlregions
 from pwlregions.acceptance import format_table
 from pwlregions.cli import main
 from pwlregions.network import Layer, Network, load_network, save_network
@@ -154,6 +159,37 @@ def test_oracle_step_must_be_positive(tmp_path, step, capsys):
     assert main(["oracle", str(net), "--box=-1,4", f"--step={step}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: --step must be a positive number\n"
+
+
+def test_oracle_refuses_a_grid_beyond_its_limit(abs_path, capsys):
+    # the default box of halfwidth 1e3 at step 1e-3 asks for 4e12 points
+    assert main(["oracle", abs_path, "--step", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid of 4000000000000 points exceeds the "
+                                   "oracle's limit of 100000000 points")
+
+
+def test_box_with_an_empty_interval_is_a_usage_error(abs_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", abs_path, "--box", "1,0"])
+    assert exc.value.code == 2
+    assert "argument --box: bad interval '1,0' in box spec" in capsys.readouterr().err
+
+
+def test_box_with_too_many_intervals_is_an_input_error(abs_path, capsys):
+    assert main(["enumerate", abs_path, "--box", "0,1;0,1;0,1"]) == 2
+    assert capsys.readouterr().err == "error: box spec has 3 intervals for 2 inputs\n"
+
+
+def test_identify_fails_on_a_constant_unit(tmp_path, capsys):
+    # unit 0 is the constant 1; unit 1 (relu x) puts the points in two regions
+    net = tmp_path / "const.json"
+    save_network(Network(2, (Layer([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0]),)), str(net))
+    assert main(["identify", str(net), "--layer", "0", "--unit", "0",
+                 "--x1", "0.5,0", "--x2=-0.5,0"]) == 1
+    assert capsys.readouterr().err == (
+        "identification failed: value gradient vanishes at the second point\n")
 
 
 @pytest.mark.parametrize("cmd, box, message", [
@@ -356,6 +392,20 @@ def test_verify_all_byte_identical(tmp_path, acceptance_seed0):
     text = out.read_text()
     assert text.count("PASS") == 12
     assert text.rstrip().endswith("12/12 criteria passed")
+
+
+def test_verify_all_loads_no_test_only_module(tmp_path):
+    """Nothing but numpy is needed at run time: a whole verify-all run in a
+    fresh interpreter loads no module of the test extras."""
+    src = Path(pwlregions.__file__).parents[1]
+    code = ("import sys, pwlregions.cli; "
+            "code = pwlregions.cli.main(['verify-all', '--seed', '0', '-o', sys.argv[1]]); "
+            "print(code, sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'hypothesis', 'pytest'}))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "table.txt")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == "0 []\n"
 
 
 # --------------------------------------------------------------------------

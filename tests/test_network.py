@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pwlregions.network import (
     ACT_RECTIFIER,
+    Activation,
     AffineMap,
     Layer,
     Network,
@@ -62,6 +63,14 @@ def test_activation_validation():
         Layer(np.ones((3, 2)), np.zeros(3), maxout(2))  # 3 rows, rank 2
     with pytest.raises(ValueError):
         Layer(np.array([[np.inf, 0.0]]), np.zeros(1))
+
+
+def test_activation_is_its_rank():
+    assert ACT_RECTIFIER == Activation(1) and ACT_RECTIFIER.kind == "rectifier"
+    assert maxout(3) == Activation(3) and maxout(3).kind == "maxout"
+    for rank in (0, -1):  # no layer width can be read from such a rank
+        with pytest.raises(ValueError, match="activation rank must be >= 1"):
+            Activation(rank)
 
 
 def test_network_fan_in_chain():

@@ -18,6 +18,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from pwlregions import regions
+from pwlregions.acceptance import _perturbed
 from pwlregions.bounds import shallow_max_regions
 from pwlregions.constructions import (
     build_abs_net,
@@ -36,6 +37,7 @@ from pwlregions.network import (
     Network,
     forward,
     maxout,
+    pattern_at,
     pattern_code,
     pattern_matrix,
 )
@@ -203,26 +205,45 @@ FLOAT_CLIPS = {"rect-2-8-8": 206, "rect-3-6-6": 476, "rect-4-4-4": 186, "scale10
 @pytest.mark.parametrize("name", sorted(FLOAT_CLIPS))
 def test_missed_planes_run_no_clip(name, monkeypatch):
     """No float clip sees a rectifier plane that misses its cell by more
-    than 10*FEAS_TOL on either side, unless the cell's witness came from
-    the exact clip: then the child takes a fresh centroid."""
+    than 10*FEAS_TOL on either side."""
     margin = 10 * regions.FEAS_TOL
-    cells, clips = [], []
-    true_children, true_clip = regions._rectifier_children, regions._clip
-
-    def children(cell, g, d, cfg):
-        cells.append(cell)  # the clips that follow cut this cell
-        yield from true_children(cell, g, d, cfg)
+    clips = []
+    true_clip = regions._clip
 
     def clip(V, tight, s, r, m):
         clips.append(r)
-        assert not cells[-1].centroid or (s.min() <= margin and s.max() >= -margin)
+        assert s.min() <= margin and s.max() >= -margin
         return true_clip(V, tight, s, r, m)
 
-    monkeypatch.setattr(regions, "_rectifier_children", children)
     monkeypatch.setattr(regions, "_clip", clip)
     make, count, _ = GOLDEN_REPORTS[name]
     assert enumerate_regions(*make()).count == count
     assert len(clips) == FLOAT_CLIPS[name]
+
+
+def test_miss_rule_holds_after_an_exact_witness(monkeypatch):
+    """The miss rule also runs on a cell whose witness came from the exact
+    clip.  On this perturbed folding witness (c11's trial 3 of its second
+    witness at seed 0) some cells take such a witness, later planes miss
+    them, and no float clip sees those planes: 5 exact clips run, 9 while
+    those cells still clipped."""
+    margin = 10 * regions.FEAS_TOL
+    exact, true_exact, true_clip = [], regions.exact_strictly_feasible, regions._clip
+
+    def clip(V, tight, s, r, m):
+        assert s.min() <= margin and s.max() >= -margin
+        return true_clip(V, tight, s, r, m)
+
+    def exact_strictly_feasible(*args):
+        exact.append(args)
+        return true_exact(*args)
+
+    monkeypatch.setattr(regions, "_clip", clip)
+    monkeypatch.setattr(regions, "exact_strictly_feasible", exact_strictly_feasible)
+    con = build_folding_rectifier_net(2, (4, 4), seed=0)
+    net = _perturbed(con.network, np.random.default_rng([0, 11, 1, 3]))
+    enumerate_regions(net, FeasibilityConfig(box=con.spec.count_box))
+    assert len(exact) == 5
 
 
 def _sha256(text: str) -> str:
@@ -459,6 +480,19 @@ def test_degenerate_rows_use_bias_sign():
     rs = enumerate_regions(net, BOX2)
     assert rs.count == 2
     assert all(r.pattern[0][0] == 1 for r in rs.regions)
+
+
+def test_maxout_tie_rule_for_constant_branch_differences():
+    # unit 0's two branches are identical, so the tie goes to branch 0;
+    # unit 1's branch 1 beats branch 0 by 1 everywhere.  Neither cuts the
+    # box, and the rectifier layer on (x, y + 1) breaks on x + y = 0 and 1.
+    first = Layer([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.0, 0.0, 0.0, 1.0],
+                  maxout(2))
+    net = Network(2, (first, Layer([[1.0, 1.0], [1.0, 1.0]], [-1.0, -2.0])))
+    rs = enumerate_regions(net, BOX2)
+    assert rs.count == oracle_count_by_grid(net, BOX2.box, 400) == 3
+    for r in rs.regions:
+        assert r.pattern[0] == (0, 1) and r.pattern == pattern_at(net, r.witness)
 
 
 @pytest.mark.parametrize("w", [1e160, 1e300])
@@ -796,8 +830,8 @@ def test_feasible_child_keeps_what_the_lp_keeps(data):
     got = regions._feasible_child(rows, offs, None, np.zeros(rows.shape[1]), cfg)
     assert (got is not None) == (t > regions.FEAS_TOL)
     if got is not None:
-        w, clearance, centroid = got
-        assert clearance > regions.FEAS_TOL and not centroid  # no vertices: the exact centroid
+        w, clearance = got
+        assert clearance > regions.FEAS_TOL
         assert _exactly_inside(rows, offs, w.tolist())
 
 
