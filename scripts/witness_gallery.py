@@ -57,11 +57,7 @@ def main() -> int:
     for name, con, draw_halfwidth in gallery(args.seed):
         # counting happens over the witness's own box (or the library
         # default); the --box flag only frames the exported picture
-        if con.spec.count_box is not None:
-            count_cfg = FeasibilityConfig(box=con.spec.count_box)
-        else:
-            count_cfg = FeasibilityConfig()
-        rs = enumerate_regions(con.network, count_cfg)
+        rs = enumerate_regions(con.network, FeasibilityConfig(box=con.spec.count_box))
         relation = "==" if con.spec.exact else ">="
         ok = rs.count == con.spec.predicted_count if con.spec.exact \
             else rs.count >= con.spec.predicted_count

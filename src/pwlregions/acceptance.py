@@ -144,7 +144,7 @@ def c05_folding_refined(seed: int) -> CriterionResult:
     refined = deep_rectifier_lower_refined(rectifier_structure(2, (5, 3)))
     plain = deep_rectifier_lower(rectifier_structure(2, (5, 3)))
     count = count_regions(con.network, _cfg_for(con))
-    ok = count >= refined == 42 and count > plain == 28
+    ok = count >= refined == FOLDING_REFINED_REGRESSION and count > plain == 28
     return CriterionResult("c05", "folding-remainder-refined", ok,
                            f"count {count} >= refined {refined} > plain {plain}")
 

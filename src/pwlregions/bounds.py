@@ -59,14 +59,7 @@ def deep_rectifier_lower(structure) -> int:
     prod_{l<L} floor(n_l/n0)^n0 times the shallow maximum of the last
     layer.  Requires every width >= n0.
     """
-    s = structure_of(structure)
-    _check_deep_rectifier(s)
-    n0 = s.input_dim
-    widths = s.widths
-    prod = 1
-    for w in widths[:-1]:
-        prod *= (w // n0) ** n0
-    return prod * shallow_max_regions(n0, widths[-1])
+    return _folded_lower(structure, refined=False)
 
 
 def deep_rectifier_lower_refined(structure) -> int:
@@ -76,14 +69,19 @@ def deep_rectifier_lower_refined(structure) -> int:
     Each hidden layer multiplies the product of its ``fold_counts``, the
     rule ``build_folding_rectifier_net`` folds by.
     """
+    return _folded_lower(structure, refined=True)
+
+
+def _folded_lower(structure, refined: bool) -> int:
+    """The product of every hidden layer's ``fold_counts`` times the
+    shallow maximum of the last layer."""
     s = structure_of(structure)
     _check_deep_rectifier(s)
     n0 = s.input_dim
-    widths = s.widths
     prod = 1
-    for w in widths[:-1]:
-        prod *= math.prod(fold_counts(n0, w))
-    return prod * shallow_max_regions(n0, widths[-1])
+    for w in s.widths[:-1]:
+        prod *= math.prod(fold_counts(n0, w, refined))
+    return prod * shallow_max_regions(n0, s.widths[-1])
 
 
 def fold_counts(n0: int, width: int, refined: bool = True) -> tuple[int, ...]:

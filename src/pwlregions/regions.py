@@ -14,19 +14,20 @@ survives iff its Chebyshev radius (the largest ball inside it) exceeds
 ``FEAS_TOL``.
 
 Every cell carries its vertices (the box corners at the root), each with
-a bitmask of the rows tight there.  A child is cut from its parent's
-vertices one new row at a time, in a double-description step: kept
-vertices stay, and each edge from a kept to a dropped vertex gives one new
-vertex on the hyperplane.  If every remaining vertex misses a row by more
-than 10*FEAS_TOL, the child is empty.  Otherwise its witness is the
-centroid of its vertices, and its clearance the centroid's smallest slack,
-a lower bound on the Chebyshev radius: if that exceeds ``FEAS_TOL`` the
-child survives.  A rectifier plane that misses a cell by more than
-10*FEAS_TOL, on a cell that carries vertices, runs no clip: the one child
-keeps the parent's vertices and witness.  The rest (thin
-children, and children whose clip degenerated, which carry no vertices)
-are decided by the same clip run exactly from the box corners, on the
-rows pulled in by ``FEAS_TOL``.  A float is a dyadic rational, so that
+a bitmask of the rows tight there.  ``_try_extend`` decides every child,
+of either unit kind, one new row at a time on the vertices the rows
+before it left: the row leaves the child empty (every vertex misses it by
+more than 10*FEAS_TOL) or flat, cuts nothing, or goes to ``_clip``, which
+cuts in a double-description step: kept vertices stay, and each edge from
+a kept to a dropped vertex gives one new vertex on the hyperplane.  A
+child whose new rows every vertex clears by more than 10*FEAS_TOL keeps
+the parent's vertices, masks and witness, if that witness clears each by
+more than ``FEAS_TOL``.  Otherwise its witness is the centroid of its
+vertices, and its clearance the centroid's smallest slack, a lower bound
+on the Chebyshev radius: if that exceeds ``FEAS_TOL`` the child survives.
+The rest (thin children, and children whose clip degenerated, which carry
+no vertices) are decided by the same clip run exactly from the box
+corners, on the rows pulled in by ``FEAS_TOL``.  A float is a dyadic rational, so that
 clip runs in integer homogeneous coordinates: each row is scaled to
 integers, each vertex is an integer vector (X, w) in lowest terms with
 w > 0, and only the sign of a slack is read.  The child survives iff
@@ -328,24 +329,15 @@ def _cut(slack, tight, n, bit, tol):
     return kept, edges, masks
 
 
-def _clip(V, tight, s, r, margin):
+def _clip(V, tight, s, r, tol):
     """Cut the polytope with float vertices ``V`` by ``row . x <= off``,
     the cell's row ``r``, in one double-description step; ``s`` is the
-    slack ``off - V @ row`` of the vertices.
+    slack ``off - V @ row`` of the vertices, some of them more than ``tol``
+    inside the plane and some more than ``tol`` beyond it.
 
-    Returns None when every vertex misses the row by more than ``margin``:
-    the child is empty.  Otherwise returns the child's (vertices, tight),
-    both None when the clip leaves no full-dimensional polytope.  A new
-    vertex is interpolated along its edge; a vertex within ``_plane_tol``
-    of the plane lies on it."""
-    top = s.max()
-    if top < -margin:
-        return None
-    tol = _plane_tol(V)
-    if top <= tol:
-        return None, None
-    if s.min() >= -tol:
-        return V, tight
+    Returns the child's (vertices, tight), both None when the cut leaves no
+    full-dimensional polytope.  A new vertex is interpolated along its
+    edge; a vertex within ``tol`` of the plane lies on it."""
     n = V.shape[1]
     slack, pts = s.tolist(), V.tolist()
     kept, edges, masks = _cut(slack, tight, n, 1 << r, tol)
@@ -358,29 +350,44 @@ def _clip(V, tight, s, r, margin):
     return np.array(out), masks
 
 
-def _try_extend(cell: _Cell, new_rows, cfg, s=None) -> tuple | None:
+def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
     """Feasibility of cell + new strict rows.  Returns (witness, clearance,
     vertices, tight) of the child, or None when it is empty.
-    ``s``, if given, is the slack of the cell's vertices on its one new row.
 
-    The parent's vertices are clipped by each new row in turn; when every
-    vertex left misses a row by more than 10*FEAS_TOL, the child is empty.
-    ``_feasible_child`` decides the rest.
+    Each new row in turn reads the slack of the vertices the rows before it
+    left.  If every vertex misses the row by more than 10*FEAS_TOL, the
+    child is empty; if none clears it by more than ``_plane_tol``, the
+    child is flat and loses its vertices; if none lies beyond that, the row
+    cuts nothing; otherwise ``_clip`` cuts.  If every vertex clears every
+    new row by more than 10*FEAS_TOL and the parent's witness clears each
+    by more than FEAS_TOL, the child is the whole cell: it keeps the
+    parent's vertices, masks and witness.  ``_feasible_child`` decides the
+    rest.
     """
-    if not new_rows:
-        return cell.witness, cell.clearance, cell.vertices, cell.tight
-    hull = (cell.vertices, cell.tight)
+    V, tight = cell.vertices, cell.tight
+    cleared = 0  # rows that every vertex clears by more than 10*FEAS_TOL
     for j, (row, off) in enumerate(new_rows):
-        if hull[0] is None:
+        if V is None:
             break
-        slack = off - hull[0] @ row if s is None else s
-        hull = _clip(*hull, slack, len(cell.offsets) + j, 10 * FEAS_TOL)
-        if hull is None:
+        s = off - V @ row
+        lo, hi = min(s.tolist()), max(s.tolist())  # on a few floats, faster than numpy
+        if hi < -10 * FEAS_TOL:
             return None
+        tol = _plane_tol(V)
+        if hi <= tol:
+            V = tight = None
+        elif lo < -tol:
+            V, tight = _clip(V, tight, s, len(cell.offsets) + j, tol)
+        else:
+            cleared += lo > 10 * FEAS_TOL
+    if cleared == len(new_rows):
+        t = [float(off - row @ cell.witness) for row, off in new_rows]
+        if min(t, default=math.inf) > FEAS_TOL:
+            return cell.witness, min([cell.clearance, *t]), V, tight
     normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
     offsets = np.concatenate([cell.offsets, [o for _, o in new_rows]])
-    got = _feasible_child(normals, offsets, hull[0], cell.witness, cfg)
-    return None if got is None else got + hull
+    got = _feasible_child(normals, offsets, V, cell.witness, cfg)
+    return None if got is None else (*got, V, tight)
 
 
 def _norm(v) -> float:
@@ -392,33 +399,19 @@ def _norm(v) -> float:
         return m * float(np.linalg.norm(v / m))
 
 
-def _rectifier_children(cell: _Cell, g, d, cfg):
-    """(state, new rows, child from ``_try_extend``) of one rectifier unit
-    on one cell.  If the cell carries vertices and the plane misses them
-    by more than 10*FEAS_TOL, the one child keeps the parent's vertices
-    and witness, and no clip runs."""
+def _rectifier_children(g, d):
+    """(state, new rows) of the children of one rectifier unit on one
+    cell, the active child first."""
     norm = _norm(g)
     if norm < _ZERO_ROW * max(1.0, abs(d)):
         # Unit is constant on the whole input space of this cell; the sign
         # of the bias decides, exact zero counting as inactive.
-        yield 1 if d > 0 else 0, [], _try_extend(cell, [], cfg)
+        yield 1 if d > 0 else 0, []
         return
     # active: g.x + d > 0  <=>  (-g).x < d; inactive: the negated row
     row, off = -g / norm, d / norm
-    V = cell.vertices
-    s = None if V is None else off - V @ row
-    if V is not None:
-        lo, hi, margin = s.min(), s.max(), 10 * FEAS_TOL
-        side = 1 if lo > margin else -1 if hi < -margin else 0
-        # and the clip would hand the vertices back, not call them flat
-        if side and (hi if side > 0 else -lo) > _plane_tol(V):
-            t = side * float(off - row @ cell.witness)
-            if t > FEAS_TOL:
-                yield int(side > 0), [(side * row, side * off)], (
-                    cell.witness, min(cell.clearance, t), V, cell.tight)
-                return
-    yield 1, [(row, off)], _try_extend(cell, [(row, off)], cfg, s)
-    yield 0, [(-row, -off)], _try_extend(cell, [(-row, -off)], cfg, None if s is None else -s)
+    yield 1, [(row, off)]
+    yield 0, [(-row, -off)]
 
 
 def _maxout_children(G, D):
@@ -453,12 +446,12 @@ def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cel
         nxt = []
         for i, c in enumerate(cells):
             if k == 1:
-                children = _rectifier_children(c, W[j] @ c.A, float(W[j] @ c.c + b[j]), cfg)
+                children = _rectifier_children(W[j] @ c.A, float(W[j] @ c.c + b[j]))
             else:
                 rows = slice(j * k, (j + 1) * k)
-                children = ((state, new_rows, _try_extend(c, new_rows, cfg)) for state, new_rows
-                            in _maxout_children(W[rows] @ c.A, W[rows] @ c.c + b[rows]))
-            for state, new_rows, got in children:
+                children = _maxout_children(W[rows] @ c.A, W[rows] @ c.c + b[rows])
+            for state, new_rows in children:
+                got = _try_extend(c, new_rows, cfg)
                 if got is None:
                     continue
                 nxt.append(_Cell(c.normals + [r for r, _ in new_rows],
@@ -469,6 +462,11 @@ def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cel
                     code = pattern_code(c.pattern[:fixed] + [c.pattern[fixed:]])
                     raise RegionBudgetError(live, cfg.region_cap,
                                             f"layer {index}, unit {j}, cell '{code}'")
+                # rank 1 or 2: once one child keeps the whole cell, the other is
+                # empty; a higher-rank sibling may be clipped by another row first
+                # and, in a box as wide as 1e12, still be found by the exact clip
+                if k <= 2 and got[0] is c.witness:
+                    break
         cells = nxt
         if not cells:
             raise EnumerationError(

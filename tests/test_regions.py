@@ -3,12 +3,8 @@
 import hashlib
 import io
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,13 +128,13 @@ def test_region_cap(monkeypatch):
 
 def test_collapse_names_layer_unit_and_cell(monkeypatch):
     # no unit of layer 1 yields a child: the error names where that happened
-    true_children = regions._rectifier_children
+    true_extend = regions._try_extend
 
-    def children(cell, g, d, cfg):
+    def extend(cell, new_rows, cfg):
         in_layer_1 = cell.pattern and isinstance(cell.pattern[0], tuple)
-        return iter(()) if in_layer_1 else true_children(cell, g, d, cfg)
+        return None if in_layer_1 else true_extend(cell, new_rows, cfg)
 
-    monkeypatch.setattr(regions, "_rectifier_children", children)
+    monkeypatch.setattr(regions, "_try_extend", extend)
     net = Network(2, (Layer(np.eye(2), np.zeros(2), ACT_RECTIFIER),
                       Layer(np.eye(2), np.zeros(2), ACT_RECTIFIER)))
     with pytest.raises(EnumerationError, match=r"at layer 1, unit 0, cell '1,1'"):
@@ -196,24 +192,26 @@ def test_reports_byte_identical(name):
     assert hashlib.sha256(render_region_report(rs).encode()).hexdigest() == digest
 
 
-# Float clips on the rectifier nets of GOLDEN_REPORTS.  While every
-# (cell, unit) pair still clipped both children, the same nets made 1260,
-# 1338, 318 and 2856.
-FLOAT_CLIPS = {"rect-2-8-8": 206, "rect-3-6-6": 476, "rect-4-4-4": 186, "scale10": 578}
+# Float clips on the nets of GOLDEN_REPORTS.  While every (cell, unit)
+# pair still clipped both children, the rectifier nets made 1260, 1338, 318
+# and 2856; while maxout children still clipped the rows that miss their
+# cell, the two maxout nets made 387 and 69.
+FLOAT_CLIPS = {"rect-2-8-8": 206, "rect-3-6-6": 476, "rect-4-4-4": 186, "scale10": 578,
+               "maxout3-2-3-3": 136, "shi3-exact": 39}
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT_CLIPS))
 def test_missed_planes_run_no_clip(name, monkeypatch):
-    """No float clip sees a rectifier plane that misses its cell by more
-    than 10*FEAS_TOL on either side."""
+    """No float clip sees a rectifier plane or a maxout dominance row that
+    misses its cell by more than 10*FEAS_TOL on either side."""
     margin = 10 * regions.FEAS_TOL
     clips = []
     true_clip = regions._clip
 
-    def clip(V, tight, s, r, m):
+    def clip(V, tight, s, r, tol):
         clips.append(r)
         assert s.min() <= margin and s.max() >= -margin
-        return true_clip(V, tight, s, r, m)
+        return true_clip(V, tight, s, r, tol)
 
     monkeypatch.setattr(regions, "_clip", clip)
     make, count, _ = GOLDEN_REPORTS[name]
@@ -230,9 +228,9 @@ def test_miss_rule_holds_after_an_exact_witness(monkeypatch):
     margin = 10 * regions.FEAS_TOL
     exact, true_exact, true_clip = [], regions.exact_strictly_feasible, regions._clip
 
-    def clip(V, tight, s, r, m):
+    def clip(V, tight, s, r, tol):
         assert s.min() <= margin and s.max() >= -margin
-        return true_clip(V, tight, s, r, m)
+        return true_clip(V, tight, s, r, tol)
 
     def exact_strictly_feasible(*args):
         exact.append(args)
@@ -244,6 +242,19 @@ def test_miss_rule_holds_after_an_exact_witness(monkeypatch):
     net = _perturbed(con.network, np.random.default_rng([0, 11, 1, 3]))
     enumerate_regions(net, FeasibilityConfig(box=con.spec.count_box))
     assert len(exact) == 5
+
+
+def test_rank3_siblings_are_decided_beside_a_whole_child():
+    """In a box of +-1e12 the float vertices can lie far from a cell.  Here
+    a rank-3 child keeps a whole cell by its vertices while a sibling, cut
+    by another row first, is still found by the exact clip: stopping a
+    unit's children after the whole one loses that region."""
+    net = _random_net(94, 2, (2, 3), rank=3)
+    rs = enumerate_regions(net, FeasibilityConfig(box_halfwidth=1e12))
+    assert rs.count == 29
+    (sibling,) = [r for r in rs.regions if r.pattern == ((0, 2), (1, 1, 2))]
+    assert sibling.vertices is None and sibling.clearance > 0.09
+    assert pattern_at(net, sibling.witness) == sibling.pattern
 
 
 def _sha256(text: str) -> str:
@@ -833,11 +844,3 @@ def test_feasible_child_keeps_what_the_lp_keeps(data):
         w, clearance = got
         assert clearance > regions.FEAS_TOL
         assert _exactly_inside(rows, offs, w.tolist())
-
-
-def test_import_needs_no_scipy():
-    src = Path(regions.__file__).parents[1]
-    code = "import sys, pwlregions; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
-    assert out == "False\n"
