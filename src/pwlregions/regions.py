@@ -89,9 +89,10 @@ class FeasibilityConfig:
     box_halfwidth  enumeration happens inside [-B, B]^n0 unless ``box``
                    overrides it with explicit per-dimension bounds
     region_cap     hard limit on live regions
-    exact_rational count every cell that is non-empty in exact arithmetic:
-                   the exact clip of a thin child keeps it at margin 0, not
-                   at FEAS_TOL
+    exact_rational count every cell whose float-composed rows are non-empty
+                   in exact arithmetic: the exact clip of a thin child keeps
+                   it at margin 0, not at FEAS_TOL (exact for those rows,
+                   not for the network, whose cell may be empty)
     """
 
     box_halfwidth: float = 1e3
@@ -225,7 +226,7 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
     clip soonest.
     """
     if V is not None:
-        w = V.mean(axis=0)
+        w = V.sum(axis=0) / len(V)
         s = float((offsets - normals @ w).min())
         if s > FEAS_TOL:
             return w, s
@@ -370,7 +371,8 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
         if V is None:
             break
         s = off - V @ row
-        lo, hi = min(s.tolist()), max(s.tolist())  # on a few floats, faster than numpy
+        sl = s.tolist()
+        lo, hi = min(sl), max(sl)  # on a few floats, faster than numpy
         if hi < -10 * FEAS_TOL:
             return None
         tol = _plane_tol(V)
@@ -384,7 +386,7 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
         t = [float(off - row @ cell.witness) for row, off in new_rows]
         if min(t, default=math.inf) > FEAS_TOL:
             return cell.witness, min([cell.clearance, *t]), V, tight
-    normals = np.vstack([np.array(cell.normals), [r for r, _ in new_rows]])
+    normals = np.array(cell.normals + [r for r, _ in new_rows])
     offsets = np.concatenate([cell.offsets, [o for _, o in new_rows]])
     got = _feasible_child(normals, offsets, V, cell.witness, cfg)
     return None if got is None else (*got, V, tight)
@@ -443,13 +445,14 @@ def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cel
     W, b = layer.weights, layer.bias
     fixed = len(cell.pattern)  # layers whose states are tuples already
     for j in range(layer.width):
+        # every cell here keeps cell's map until the layer ends: the same rows for all
+        if k == 1:
+            children = list(_rectifier_children(W[j] @ cell.A, float(W[j] @ cell.c + b[j])))
+        else:
+            rows = slice(j * k, (j + 1) * k)
+            children = list(_maxout_children(W[rows] @ cell.A, W[rows] @ cell.c + b[rows]))
         nxt = []
         for i, c in enumerate(cells):
-            if k == 1:
-                children = _rectifier_children(W[j] @ c.A, float(W[j] @ c.c + b[j]))
-            else:
-                rows = slice(j * k, (j + 1) * k)
-                children = _maxout_children(W[rows] @ c.A, W[rows] @ c.c + b[rows])
             for state, new_rows in children:
                 got = _try_extend(c, new_rows, cfg)
                 if got is None:
@@ -508,9 +511,8 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         aff = AffineMap(c.A, c.c)
         # rounding in the composed map and in the forward pass both grow
         # with the magnitude of the terms summed, so the bound scales with it
-        scale = (np.max(np.abs(c.c))
-                 + np.max(np.abs(c.A).sum(axis=1)) * np.max(np.abs(c.witness)))
-        drift = float(np.max(np.abs(aff(c.witness) - forward(net, c.witness)[-1])))
+        scale = np.abs(c.c).max() + np.abs(c.A).sum(axis=1).max() * np.abs(c.witness).max()
+        drift = float(np.abs(aff(c.witness) - forward(net, c.witness)[-1]).max())
         if not drift <= 1e-9 * max(1.0, scale):     # a NaN drift fails too
             raise EnumerationError(
                 f"affine map drifted ({drift:.2e}) on region {pattern_code(pattern)}"

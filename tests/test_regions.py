@@ -1,5 +1,6 @@
 """Exact enumeration against hand geometry, the grid oracle, and itself."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -29,6 +30,7 @@ from pwlregions.constructions import (
 )
 from pwlregions.network import (
     ACT_RECTIFIER,
+    AffineMap,
     Layer,
     Network,
     forward,
@@ -41,6 +43,7 @@ from pwlregions.regions import (
     EnumerationError,
     FeasibilityConfig,
     RegionBudgetError,
+    RegionSet,
     count_regions,
     enumerate_regions,
     exact_strictly_feasible,
@@ -192,6 +195,67 @@ def test_reports_byte_identical(name):
     assert hashlib.sha256(render_region_report(rs).encode()).hexdigest() == digest
 
 
+# ---------------------------------------------------------------------------
+# region reports: one template per region shape, against the reference
+# render_json(region_report(rs))
+
+@st.composite
+def _boxes(draw, n0):
+    """A symmetric cube, rendered as a scalar box field, or a box with
+    bounds of its own per side, rendered as a list."""
+    if draw(st.booleans()):
+        return FeasibilityConfig(box_halfwidth=draw(st.sampled_from([1.0, 10.0, 1e3])))
+    sides = st.floats(0.25, 4.0).map(lambda v: round(v, 2))
+    return FeasibilityConfig(box=tuple((-draw(sides), draw(sides)) for _ in range(n0)))
+
+
+@st.composite
+def _enumerations(draw):
+    n0 = draw(st.integers(1, 4))
+    widths = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    net = _random_net(draw(st.integers(0, 2**32 - 1)), n0, widths, draw(st.sampled_from([1, 2, 3])))
+    cfg = dataclasses.replace(draw(_boxes(n0)), exact_rational=draw(st.booleans()))
+    return enumerate_regions(net, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_enumerations())
+def test_region_report_renders_as_the_reference(rs):
+    assert render_region_report(rs) == render_json(region_report(rs))
+
+
+@pytest.mark.parametrize("box", [((-1.0, 1.0), (-1.0, 1.0)), ((-1.0, 2.0), (-1.0, 1.0))])
+def test_a_report_of_no_regions_renders_as_the_reference(box):
+    rs = RegionSet((), box)
+    assert render_region_report(rs) == render_json(region_report(rs))
+    assert '"regions": []' in render_region_report(rs)
+
+
+def _spoiled(region, field, bad):
+    """``region`` with ``bad`` in the first entry of one of its arrays."""
+    arrays = {"witness": region.witness, "matrix": region.affine.matrix,
+              "offset": region.affine.offset, "normals": region.normals,
+              "offsets": region.offsets}
+    a = arrays[field].copy()
+    a.flat[0] = bad
+    arrays[field] = a
+    affine = AffineMap(arrays.pop("matrix"), arrays.pop("offset"))
+    return dataclasses.replace(region, affine=affine, **arrays)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["witness", "matrix", "offset", "normals", "offsets"])
+def test_a_non_finite_region_value_raises(field, bad):
+    rs = enumerate_regions(_random_net(0, 2, (2, 2)), BOX10)
+    regions = list(rs.regions)
+    regions[1] = _spoiled(regions[1], field, bad)
+    spoiled = RegionSet(tuple(regions), rs.box)
+    with pytest.raises(ValueError, match="non-finite"):
+        render_json(region_report(spoiled))
+    with pytest.raises(ValueError, match="non-finite"):
+        render_region_report(spoiled)
+
+
 # Float clips on the nets of GOLDEN_REPORTS.  While every (cell, unit)
 # pair still clipped both children, the rectifier nets made 1260, 1338, 318
 # and 2856; while maxout children still clipped the rows that miss their
@@ -217,6 +281,39 @@ def test_missed_planes_run_no_clip(name, monkeypatch):
     make, count, _ = GOLDEN_REPORTS[name]
     assert enumerate_regions(*make()).count == count
     assert len(clips) == FLOAT_CLIPS[name]
+
+
+# (parent cell, unit) pairs on two nets of GOLDEN_REPORTS.  While each
+# unit's rows were built once per (cell, unit), the nets made 630 and 77
+# calls.
+UNIT_ROWS = {"rect-2-8-8": (296, "_rectifier_children"),
+             "maxout3-2-3-3": (45, "_maxout_children")}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_ROWS))
+def test_unit_rows_are_built_once_per_parent_cell(name, monkeypatch):
+    """Every cell that one ``_subdivide_cell`` call holds keeps the parent's
+    map until the layer ends, so each unit's rows are built once per
+    parent cell, not once per cell."""
+    pairs, calls = [], {"_rectifier_children": [], "_maxout_children": []}
+    true_subdivide = regions._subdivide_cell
+
+    def subdivide(cell, layer, *args):
+        pairs.append(layer.width)
+        return true_subdivide(cell, layer, *args)
+
+    def wrap(fn, true):
+        return lambda *args: calls[fn].append(args) or true(*args)
+
+    monkeypatch.setattr(regions, "_subdivide_cell", subdivide)
+    for fn in calls:
+        monkeypatch.setattr(regions, fn, wrap(fn, getattr(regions, fn)))
+    make, count, _ = GOLDEN_REPORTS[name]
+    assert enumerate_regions(*make()).count == count
+    expected, fn = UNIT_ROWS[name]
+    assert sum(pairs) == expected
+    assert {k: len(v) for k, v in calls.items()} == {
+        k: expected if k == fn else 0 for k in calls}
 
 
 def test_miss_rule_holds_after_an_exact_witness(monkeypatch):
@@ -406,8 +503,9 @@ WITNESSES_2D = {
 
 @pytest.mark.parametrize("name", sorted(WITNESSES_2D))
 def test_polygons_tile_the_box(name):
-    # exact mode keeps cones(2,3,3)'s two slivers, which carry no vertices:
-    # their empty polygons leave out an area far below the tolerance
+    # exact mode keeps cones(2,3,3)'s two phantoms of the float-composed rows,
+    # which carry no vertices: their empty polygons leave out an area far
+    # below the tolerance
     rs = enumerate_regions(*_witness_cfg(WITNESSES_2D[name](), exact=True))
     for r in rs.regions:
         assert _exactly_inside(r.normals, r.offsets, r.witness.tolist())
@@ -700,8 +798,10 @@ def test_exact_mode_counts(make, count):
 
 def test_exact_mode_witnesses_are_exactly_inside():
     # in float, the LP point of ((1,2),(0,2),(0,0)) clears t = 2.8e-14 but
-    # it lies 5.5e-15 outside in exact arithmetic; the sliver
-    # ((2,0),(0,2),(0,0)) is kept by the centroid of its exact vertices
+    # it lies 5.5e-15 outside in exact arithmetic; ((2,0),(0,2),(0,0)), a
+    # phantom of the float-composed rows, is kept by the centroid of its
+    # exact vertices.  The network itself has 113 regions: this 115 counts
+    # both phantoms of the float-composed rows
     rs = enumerate_regions(*_witness_cfg(build_maxout_cones(2, 3, 3), exact=True))
     for r in rs.regions:
         assert _exactly_inside(r.normals, r.offsets, r.witness.tolist())

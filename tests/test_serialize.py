@@ -1,4 +1,4 @@
-"""JSON rendering: float blocks in one template, byte for byte as float by float."""
+"""JSON rendering: filled templates and float texts, byte for byte as float by float."""
 
 import json
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwlregions.serialize import render_json
+from pwlregions.serialize import Rendered, float_texts, render_json, render_template
 
 
 def _reference_float(x) -> str:
@@ -105,3 +105,45 @@ def test_non_finite_values_still_raise(bad, place, floats):
         reference_json(obj)
     with pytest.raises(ValueError, match="non-finite"):
         render_json(obj)
+
+
+def _slot_values(obj):
+    """The values that fill ``render_template(obj)``, in rendering order."""
+    if isinstance(obj, float):
+        yield _reference_float(obj)
+    elif isinstance(obj, Rendered):
+        return
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _slot_values(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _slot_values(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+def test_filled_template_matches_render_json(obj):
+    """Keys may hold a ``%``; the template doubles it."""
+    assert render_template(obj) % tuple(_slot_values(obj)) + "\n" == render_json(obj)
+
+
+def test_rendered_text_goes_in_as_it_stands():
+    obj = {"a%": [Rendered("[1, 2%]"), 1.5, "x"]}
+    assert render_json(obj) == '{\n  "a%": [\n    [1, 2%],\n    1.5,\n    "x"\n  ]\n}\n'
+    assert render_template(obj) % ("1.5", '"x"') + "\n" == render_json(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FLOATS, max_size=40))
+def test_float_texts_match_the_per_float_reference(xs):
+    """Each distinct bit pattern is formatted once: -0.0 and 0.0 stay apart."""
+    assert float_texts(np.array(xs, dtype=float)) == [_reference_float(x) for x in xs]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_texts_refuse_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        float_texts(np.array([1.0, bad, -0.0]))
