@@ -41,9 +41,9 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
 
     Row ``unit`` of the pattern-fixed composition through ``layer``; an
     inactive rectifier therefore yields the zero map, and a maxout unit
-    the map of its argmax branch.  The composition is computed with the
-    same matrix products the region enumerator uses, so the row agrees
-    exactly with the corresponding row of Region.affine.
+    the map of its argmax branch.  The composition is ``pattern_affine``,
+    which also gives Region.affine, so the row agrees exactly with the
+    corresponding row of the map of x's region.
     """
     _check_unit(net, layer, unit)
     pattern = pattern_at(net, np.asarray(x, float))

@@ -2,10 +2,11 @@
 
 The enumerator walks the stack layer by layer.  Every region is an open
 polyhedron of the input box, carried as strict inequalities
-``normal . x < offset`` (rows unit-normalized), together with the affine
-map the processed sub-network applies on it, the activation pattern that
-produced it, its vertices, and an interior witness point with a clearance
-certifying full dimension.
+``normal . x < offset`` (rows unit-normalized), together with the
+activation pattern that produced it, its vertices, and an interior witness
+point.  The map the network applies on a cell is not carried: it is
+``network.pattern_affine`` of the cell's pattern, computed once per cell
+and layer to build the units' rows, and once per region for its affine map.
 
 Each rectifier unit folds back to a single input-space hyperplane per
 region; each rank-k maxout unit yields k candidate children, one per
@@ -23,8 +24,8 @@ a kept to a dropped vertex gives one new vertex on the hyperplane.  A
 child whose new rows every vertex clears by more than 10*FEAS_TOL keeps
 the parent's vertices, masks and witness, if that witness clears each by
 more than ``FEAS_TOL``.  Otherwise its witness is the centroid of its
-vertices, and its clearance the centroid's smallest slack, a lower bound
-on the Chebyshev radius: if that exceeds ``FEAS_TOL`` the child survives.
+vertices: if the centroid's smallest slack, a lower bound on the Chebyshev
+radius, exceeds ``FEAS_TOL``, the child survives.
 The rest (thin children, and children whose clip degenerated, which carry
 no vertices) are decided by the same clip run exactly from the box
 corners, on the rows pulled in by ``FEAS_TOL``.  A float is a dyadic rational, so that
@@ -54,14 +55,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import (
-    AffineMap,
-    Network,
-    forward,
-    layer_selection,
-    pattern_code,
-    pattern_matrix,
-)
+from . import network
+from .network import Network, forward, pattern_affine, pattern_code, pattern_matrix
 
 Box = tuple[tuple[float, float], ...]
 
@@ -119,14 +114,14 @@ class FeasibilityConfig:
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """One open cell: {x : normals @ x < offsets}, with its certificate."""
+    """One open cell: {x : normals @ x < offsets}, with a witness strictly
+    inside and the map ``pattern_affine(net, pattern)`` the net applies on it."""
 
     normals: np.ndarray        # (m, n0), unit rows
     offsets: np.ndarray        # (m,)
     pattern: tuple             # per-layer tuples of unit states
-    affine: AffineMap          # input -> activations of the last processed layer
+    affine: network.AffineMap  # input -> activations of the last processed layer
     witness: np.ndarray
-    clearance: float                    # smallest slack of the witness over the rows
     vertices: np.ndarray | None = None  # (k, n0), None if the clip degenerated
     tight: list[int] | None = None      # per vertex, bit j: cut on row j (see _Cell)
 
@@ -214,7 +209,7 @@ def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
 
 
 def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
-    """(witness, clearance) for the strict system, or None when its
+    """A witness strictly inside the strict system, or None when its
     Chebyshev radius is at most ``FEAS_TOL`` (in exact mode: when it is
     empty in exact arithmetic).
 
@@ -227,9 +222,8 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
     """
     if V is not None:
         w = V.sum(axis=0) / len(V)
-        s = float((offsets - normals @ w).min())
-        if s > FEAS_TOL:
-            return w, s
+        if (offsets - normals @ w).min() > FEAS_TOL:
+            return w
     margin = 0.0 if cfg.exact_rational else FEAS_TOL
     key = offsets - normals @ anchor
     key[:2 * normals.shape[1]] = -np.inf
@@ -239,7 +233,7 @@ def _feasible_child(normals, offsets, V, anchor, cfg: FeasibilityConfig):
         return None
     w = np.array([float(v) for v in point])
     slack = (_fraction(offsets) - _fraction(normals) @ _fraction(w)).min()
-    return (w, float(slack)) if slack > margin else None
+    return w if slack > margin else None
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +244,7 @@ class _Cell:
     normals: list               # 1-d arrays (unit rows)
     offsets: list               # floats
     pattern: list               # per-layer tuples, then the states of this layer
-    A: np.ndarray               # input -> current activations
-    c: np.ndarray
     witness: np.ndarray
-    clearance: float
     # Vertices of the closed cell, (k, n0), or None once a clip has
     # degenerated: the cell and its descendants then rely on the exact
     # clip alone.
@@ -285,9 +276,7 @@ def _root_cell(box: Box) -> _Cell:
     # in the order of the corners: lo sets bit 2i+1, hi bit 2i
     tight = [sum(bits) for bits in itertools.product(*((2 << 2 * i, 1 << 2 * i)
                                                        for i in range(n0)))]
-    clearance = min((hi - lo) / 2 for lo, hi in box)
-    return _Cell(normals, offsets, [], np.eye(n0), np.zeros(n0), V.mean(axis=0), clearance,
-                 V, tight)
+    return _Cell(normals, offsets, [], V.mean(axis=0), V, tight)
 
 
 def _plane_tol(V) -> float:
@@ -351,9 +340,9 @@ def _clip(V, tight, s, r, tol):
     return np.array(out), masks
 
 
-def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
-    """Feasibility of cell + new strict rows.  Returns (witness, clearance,
-    vertices, tight) of the child, or None when it is empty.
+def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
+    """The child of ``cell`` cut out by the strict rows ``new_rows``, with
+    ``state`` appended to its pattern, or None when it is empty.
 
     Each new row in turn reads the slack of the vertices the rows before it
     left.  If every vertex misses the row by more than 10*FEAS_TOL, the
@@ -363,7 +352,7 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
     new row by more than 10*FEAS_TOL and the parent's witness clears each
     by more than FEAS_TOL, the child is the whole cell: it keeps the
     parent's vertices, masks and witness.  ``_feasible_child`` decides the
-    rest.
+    rest, on the child's rows, which are built once, here.
     """
     V, tight = cell.vertices, cell.tight
     cleared = 0  # rows that every vertex clears by more than 10*FEAS_TOL
@@ -382,14 +371,15 @@ def _try_extend(cell: _Cell, new_rows, cfg) -> tuple | None:
             V, tight = _clip(V, tight, s, len(cell.offsets) + j, tol)
         else:
             cleared += lo > 10 * FEAS_TOL
-    if cleared == len(new_rows):
-        t = [float(off - row @ cell.witness) for row, off in new_rows]
-        if min(t, default=math.inf) > FEAS_TOL:
-            return cell.witness, min([cell.clearance, *t]), V, tight
-    normals = np.array(cell.normals + [r for r, _ in new_rows])
-    offsets = np.concatenate([cell.offsets, [o for _, o in new_rows]])
-    got = _feasible_child(normals, offsets, V, cell.witness, cfg)
-    return None if got is None else (*got, V, tight)
+    normals = cell.normals + [r for r, _ in new_rows]
+    offsets = cell.offsets + [o for _, o in new_rows]
+    whole = cleared == len(new_rows) and min(
+        (off - row @ cell.witness for row, off in new_rows), default=math.inf) > FEAS_TOL
+    witness = cell.witness if whole else _feasible_child(
+        np.array(normals), np.array(offsets), V, cell.witness, cfg)
+    if witness is None:
+        return None
+    return _Cell(normals, offsets, cell.pattern + [state], witness, V, tight)
 
 
 def _norm(v) -> float:
@@ -436,30 +426,31 @@ def _maxout_children(G, D):
             yield t, rows
 
 
-def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cell]:
+def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int) -> list[_Cell]:
     """Push one cell through every unit of layer ``index``.  ``held`` live
     cells lie outside this one; with them, every child created counts
     against ``cfg.region_cap``."""
     cells = [cell]
+    layer = net.layers[index]
     k = layer.activation.rank
     W, b = layer.weights, layer.bias
+    below = pattern_affine(net, cell.pattern)  # input -> the layer's inputs, on cell
+    A, c0 = below.matrix, below.offset
     fixed = len(cell.pattern)  # layers whose states are tuples already
     for j in range(layer.width):
-        # every cell here keeps cell's map until the layer ends: the same rows for all
+        # every cell here lies in cell, where the layer's inputs follow one map
         if k == 1:
-            children = list(_rectifier_children(W[j] @ cell.A, float(W[j] @ cell.c + b[j])))
+            children = list(_rectifier_children(W[j] @ A, float(W[j] @ c0 + b[j])))
         else:
             rows = slice(j * k, (j + 1) * k)
-            children = list(_maxout_children(W[rows] @ cell.A, W[rows] @ cell.c + b[rows]))
+            children = list(_maxout_children(W[rows] @ A, W[rows] @ c0 + b[rows]))
         nxt = []
         for i, c in enumerate(cells):
             for state, new_rows in children:
-                got = _try_extend(c, new_rows, cfg)
-                if got is None:
+                child = _try_extend(c, state, new_rows, cfg)
+                if child is None:
                     continue
-                nxt.append(_Cell(c.normals + [r for r, _ in new_rows],
-                                 c.offsets + [o for _, o in new_rows],
-                                 c.pattern + [state], c.A, c.c, *got))
+                nxt.append(child)
                 live = held + len(nxt) + len(cells) - i - 1
                 if live > cfg.region_cap:
                     code = pattern_code(c.pattern[:fixed] + [c.pattern[fixed:]])
@@ -468,7 +459,7 @@ def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cel
                 # rank 1 or 2: once one child keeps the whole cell, the other is
                 # empty; a higher-rank sibling may be clipped by another row first
                 # and, in a box as wide as 1e12, still be found by the exact clip
-                if k <= 2 and got[0] is c.witness:
+                if k <= 2 and child.witness is c.witness:
                     break
         cells = nxt
         if not cells:
@@ -476,11 +467,8 @@ def _subdivide_cell(cell: _Cell, layer, index: int, cfg, held: int) -> list[_Cel
                 f"no feasible child at layer {index}, unit {j}, cell "
                 f"'{pattern_code(cell.pattern)}'; numerical collapse"
             )
-    # fix the layer's pattern and update the affine map; every cell here is new
-    for c in cells:
-        states = tuple(c.pattern[fixed:])
-        Weff, beff = layer_selection(layer, states)
-        c.pattern, c.A, c.c = c.pattern[:fixed] + [states], Weff @ c.A, Weff @ c.c + beff
+    for c in cells:  # fix the layer's pattern; every cell here is new
+        c.pattern = c.pattern[:fixed] + [tuple(c.pattern[fixed:])]
     return cells
 
 
@@ -493,25 +481,27 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         raise ValueError("enumeration supports input dimension <= 4")
     box = cfg.resolved_box(n0)
 
-    cells = [_root_cell(box)]
+    cells, maps = [_root_cell(box)], []
     with np.errstate(over="raise"):  # an overflowing map is an error, not an inf
-        for index, layer in enumerate(net.layers):
-            done: list[_Cell] = []
-            for i, c in enumerate(cells):
-                try:
-                    done += _subdivide_cell(c, layer, index, cfg, len(done) + len(cells) - i - 1)
-                except FloatingPointError:
-                    raise EnumerationError(f"float overflow at layer {index}, "
-                                           f"cell '{pattern_code(c.pattern)}'") from None
-            cells = done
+        try:
+            for index in range(net.depth):
+                done: list[_Cell] = []
+                for i, c in enumerate(cells):
+                    done += _subdivide_cell(c, net, index, cfg, len(done) + len(cells) - i - 1)
+                cells = done
+            for c in cells:
+                maps.append(pattern_affine(net, c.pattern))
+        except FloatingPointError:
+            raise EnumerationError(f"float overflow at layer {index}, "
+                                   f"cell '{pattern_code(c.pattern)}'") from None
 
     regions = []
-    for c in cells:
+    for c, aff in zip(cells, maps):
         pattern = tuple(c.pattern)
-        aff = AffineMap(c.A, c.c)
         # rounding in the composed map and in the forward pass both grow
         # with the magnitude of the terms summed, so the bound scales with it
-        scale = np.abs(c.c).max() + np.abs(c.A).sum(axis=1).max() * np.abs(c.witness).max()
+        scale = (np.abs(aff.offset).max()
+                 + np.abs(aff.matrix).sum(axis=1).max() * np.abs(c.witness).max())
         drift = float(np.abs(aff(c.witness) - forward(net, c.witness)[-1]).max())
         if not drift <= 1e-9 * max(1.0, scale):     # a NaN drift fails too
             raise EnumerationError(
@@ -524,7 +514,6 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
                 pattern=pattern,
                 affine=aff,
                 witness=np.asarray(c.witness, float),
-                clearance=float(c.clearance),
                 vertices=c.vertices,
                 tight=c.tight,
             )

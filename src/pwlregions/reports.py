@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -43,18 +44,21 @@ def region_report(rs: RegionSet) -> dict:
 def render_region_report(rs: RegionSet) -> str:
     """``render_json(region_report(rs))``, byte for byte.  A region's layout
     depends only on its arrays' shapes: each shape's template is rendered
-    once, from its first region, at level 2 (in the report's list of
-    regions), and filled in one ``%`` per region."""
+    once, from float64 copies of its first region's arrays, at level 2 (in
+    the report's list of regions), and filled in one ``%`` per region."""
     templates: dict = {}
     fills, flats = [], [np.zeros(0)]  # np.concatenate needs an array
     for r in rs.regions:
         arrays = (r.witness, r.affine.matrix, r.affine.offset,
                   np.column_stack([r.normals, r.offsets]))
         shape = tuple(a.shape for a in arrays)
-        if shape not in templates:
-            (entry,) = region_report(RegionSet((r,), rs.box))["regions"]
+        if shape not in templates:  # an integer would print as a literal, not a slot
+            floats = dataclasses.replace(r, witness=np.asarray(r.witness, float),
+                                         normals=np.asarray(r.normals, float),
+                                         offsets=np.asarray(r.offsets, float))
+            (entry,) = region_report(RegionSet((floats,), rs.box))["regions"]
             templates[shape] = render_template(entry, level=2)
-        flats.append(np.concatenate(arrays, axis=None))
+        flats.append(np.concatenate(arrays, axis=None, dtype=float))
         fills.append((templates[shape], json.dumps(pattern_code(r.pattern)), flats[-1].size))
     texts = iter(float_texts(np.concatenate(flats)))
     regions = [Rendered(t % (code, *itertools.islice(texts, n))) for t, code, n in fills]

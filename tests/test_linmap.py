@@ -32,12 +32,13 @@ from pwlregions.network import (
 from pwlregions.regions import FeasibilityConfig, enumerate_regions
 
 
-def random_net(seed=0, widths=(3, 3)):
+def random_net(seed=0, widths=(3, 3), rank=1):
     rng = np.random.default_rng(seed)
+    act = ACT_RECTIFIER if rank == 1 else maxout(rank)
     layers = []
     fan = 2
     for w in widths:
-        layers.append(Layer(rng.normal(size=(w, fan)), rng.normal(size=w), ACT_RECTIFIER))
+        layers.append(Layer(rng.normal(size=(rank * w, fan)), rng.normal(size=rank * w), act))
         fan = w
     return Network(2, tuple(layers))
 
@@ -60,16 +61,35 @@ def test_unit_map_matches_finite_differences():
     assert checked > 30
 
 
-def test_unit_map_rows_equal_region_affine():
-    """A unit's map is literally one row of the enumerator's per-region
-    affine map, so at a region witness they must agree bit for bit."""
-    net = random_net(5, widths=(4,))
-    rs = enumerate_regions(net, FeasibilityConfig(box=((-2, 2), (-2, 2))))
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("seed, widths, rank, half", [
+    pytest.param(5, (4,), 1, 2, id="rect-4"),
+    pytest.param(6, (5, 4), 1, 4, id="rect-5-4"),
+    pytest.param(7, (4, 4, 4), 1, 4, id="rect-4-4-4"),
+    pytest.param(8, (4, 4), 2, 4, id="maxout2-4-4"),
+    pytest.param(9, (3, 3, 3), 2, 4, id="maxout2-3-3-3"),
+    pytest.param(10, (3, 3), 3, 4, id="maxout3-3-3"),
+    pytest.param(11, (3, 3, 3), 3, 4, id="maxout3-3-3-3"),
+])
+def test_unit_map_rows_equal_region_affine(seed, widths, rank, half, exact):
+    """A region's affine map is ``pattern_affine`` of its pattern, and a
+    last-layer unit's map at the region's witness is one row of it, bit
+    for bit, wherever the witness has the region's pattern."""
+    net = random_net(seed, widths, rank)
+    rs = enumerate_regions(net, FeasibilityConfig(box_halfwidth=half, exact_rational=exact))
+    checked = 0
     for region in rs.regions:
-        for unit in range(4):
-            m = unit_linear_map(net, 0, unit, region.witness)
-            assert np.array_equal(m.matrix[0], region.affine.matrix[unit])
-            assert m.offset[0] == region.affine.offset[unit]
+        if pattern_at(net, region.witness) != region.pattern:
+            continue
+        checked += 1
+        full = pattern_affine(net, region.pattern)
+        assert full.matrix.tobytes() == region.affine.matrix.tobytes()
+        assert full.offset.tobytes() == region.affine.offset.tobytes()
+        for unit in range(widths[-1]):
+            m = unit_linear_map(net, net.depth - 1, unit, region.witness)
+            assert m.matrix.tobytes() == region.affine.matrix[unit].tobytes()
+            assert m.offset.tobytes() == region.affine.offset[unit:unit + 1].tobytes()
+    assert checked > rs.count // 2
 
 
 def test_boundary_clearance_geometry():

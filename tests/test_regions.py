@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from pwlregions import regions
+from pwlregions import network, regions
 from pwlregions.acceptance import _perturbed
 from pwlregions.bounds import shallow_max_regions
 from pwlregions.constructions import (
@@ -83,8 +83,7 @@ def test_abs_net_quadrants():
     patterns = {r.pattern for r in rs.regions}
     assert ((1, 0, 1, 0),) in patterns  # open positive quadrant
     for r in rs.regions:
-        assert r.clearance > 0
-        assert (r.normals @ r.witness <= r.offsets).all()
+        assert (r.normals @ r.witness < r.offsets).all()
 
 
 def test_three_lines_make_seven_cells():
@@ -111,15 +110,15 @@ def test_patterns_sorted_and_distinct():
 
 def test_region_cap(monkeypatch):
     # the abs net's one layer makes 4 cells; the cap stops it at the third,
-    # before the layer finishes and fixes any pattern
+    # before the layer finishes and a region's map is composed from its pattern
     finished = []
-    true_selection = regions.layer_selection
+    true_selection = network.layer_selection
 
     def selection(layer, states):
         finished.append(states)
         return true_selection(layer, states)
 
-    monkeypatch.setattr(regions, "layer_selection", selection)
+    monkeypatch.setattr(network, "layer_selection", selection)
     with pytest.raises(RegionBudgetError) as err:
         enumerate_regions(build_abs_net().network, FeasibilityConfig(region_cap=2))
     assert err.value.cap == 2
@@ -133,9 +132,9 @@ def test_collapse_names_layer_unit_and_cell(monkeypatch):
     # no unit of layer 1 yields a child: the error names where that happened
     true_extend = regions._try_extend
 
-    def extend(cell, new_rows, cfg):
+    def extend(cell, state, new_rows, cfg):
         in_layer_1 = cell.pattern and isinstance(cell.pattern[0], tuple)
-        return None if in_layer_1 else true_extend(cell, new_rows, cfg)
+        return None if in_layer_1 else true_extend(cell, state, new_rows, cfg)
 
     monkeypatch.setattr(regions, "_try_extend", extend)
     net = Network(2, (Layer(np.eye(2), np.zeros(2), ACT_RECTIFIER),
@@ -256,6 +255,20 @@ def test_a_non_finite_region_value_raises(field, bad):
         render_region_report(spoiled)
 
 
+@pytest.mark.parametrize("fields", [("witness",), ("normals", "offsets")],
+                         ids=["witness", "constraints"])
+def test_a_region_of_integer_arrays_renders_as_the_reference(fields):
+    # the reference prints an integer -1 as -1, as "%.17g" prints -1.0; on
+    # the abs net's first region every value is a whole number.  Integer
+    # normals beside float offsets stack to floats: both must be integers
+    rs = enumerate_regions(build_abs_net().network, BOX2)
+    r = rs.regions[0]
+    ints = {f: np.rint(getattr(r, f)).astype(int) for f in fields}
+    assert all(np.array_equal(a, getattr(r, f)) for f, a in ints.items())
+    spoiled = RegionSet((dataclasses.replace(r, **ints), *rs.regions[1:]), rs.box)
+    assert render_region_report(spoiled) == render_json(region_report(spoiled))
+
+
 # Float clips on the nets of GOLDEN_REPORTS.  While every (cell, unit)
 # pair still clipped both children, the rectifier nets made 1260, 1338, 318
 # and 2856; while maxout children still clipped the rows that miss their
@@ -292,15 +305,15 @@ UNIT_ROWS = {"rect-2-8-8": (296, "_rectifier_children"),
 
 @pytest.mark.parametrize("name", sorted(UNIT_ROWS))
 def test_unit_rows_are_built_once_per_parent_cell(name, monkeypatch):
-    """Every cell that one ``_subdivide_cell`` call holds keeps the parent's
-    map until the layer ends, so each unit's rows are built once per
-    parent cell, not once per cell."""
+    """Every cell that one ``_subdivide_cell`` call holds lies in the
+    parent cell, where the layer's inputs follow the parent's map, so each
+    unit's rows are built once per parent cell, not once per cell."""
     pairs, calls = [], {"_rectifier_children": [], "_maxout_children": []}
     true_subdivide = regions._subdivide_cell
 
-    def subdivide(cell, layer, *args):
-        pairs.append(layer.width)
-        return true_subdivide(cell, layer, *args)
+    def subdivide(cell, net, index, *args):
+        pairs.append(net.layers[index].width)
+        return true_subdivide(cell, net, index, *args)
 
     def wrap(fn, true):
         return lambda *args: calls[fn].append(args) or true(*args)
@@ -350,7 +363,8 @@ def test_rank3_siblings_are_decided_beside_a_whole_child():
     rs = enumerate_regions(net, FeasibilityConfig(box_halfwidth=1e12))
     assert rs.count == 29
     (sibling,) = [r for r in rs.regions if r.pattern == ((0, 2), (1, 1, 2))]
-    assert sibling.vertices is None and sibling.clearance > 0.09
+    assert sibling.vertices is None
+    assert (sibling.offsets - sibling.normals @ sibling.witness).min() > 0.09
     assert pattern_at(net, sibling.witness) == sibling.pattern
 
 
@@ -521,13 +535,13 @@ def test_drift_check_scales_with_magnitude():
 
 def test_drift_check_catches_a_wrong_map(monkeypatch):
     # every composed map off by a relative 1e-6 must still be refused
-    true_selection = regions.layer_selection
+    true_selection = network.layer_selection
 
     def skewed(layer, states):
         W, b = true_selection(layer, states)
         return W * (1 + 1e-6), b * (1 + 1e-6)
 
-    monkeypatch.setattr(regions, "layer_selection", skewed)
+    monkeypatch.setattr(network, "layer_selection", skewed)
     with pytest.raises(EnumerationError, match="drifted"):
         enumerate_regions(three_lines_net())
 
@@ -941,6 +955,5 @@ def test_feasible_child_keeps_what_the_lp_keeps(data):
     got = regions._feasible_child(rows, offs, None, np.zeros(rows.shape[1]), cfg)
     assert (got is not None) == (t > regions.FEAS_TOL)
     if got is not None:
-        w, clearance = got
-        assert clearance > regions.FEAS_TOL
-        assert _exactly_inside(rows, offs, w.tolist())
+        pulled = np.array([Fraction(o) - Fraction(regions.FEAS_TOL) for o in offs.tolist()])
+        assert _exactly_inside(rows, pulled, got.tolist())
