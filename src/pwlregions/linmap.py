@@ -6,6 +6,12 @@ weights below the unit, validates it against finite differences, lists
 the distinct maps a unit realizes over a sample set, and adjusts one of
 two points until a chosen unit outputs the same value at both — a probe
 demonstrating that the two surrounding regions are folded together.
+
+A probe point is walked once: the walk composes its map layer by layer
+with ``network._layer_step``, the step of ``pattern_affine``, and the last
+point's layer maps are kept (``_layer_maps``).  Entry points take one
+finite point (n0,), or finite samples (m, n0), and raise ``ValueError``
+otherwise.
 """
 
 from __future__ import annotations
@@ -17,11 +23,10 @@ import numpy as np
 from .network import (
     AffineMap,
     Network,
+    _layer_step,
     _walk,
     forward,
-    layer_selection,
     pattern_affine,
-    pattern_at,
 )
 
 
@@ -29,11 +34,47 @@ class IdentificationError(RuntimeError):
     """No identified pair exists along the adjustment ray."""
 
 
+def _checked_point(net: Network, x, name: str = "x") -> np.ndarray:
+    """``x`` as a float array; it must be one finite point of shape (n0,)."""
+    x = np.asarray(x, float)
+    want = f"{name} must be a finite point of shape ({net.input_dim},)"
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"{want}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{want}, got {x.tolist()}")
+    return x
+
+
+# The last point walked: (net, its bytes, per layer (z, states, activations,
+# A, c)).  Holding the net keeps its id from being reused; one assignment
+# replaces the whole entry, so a reader never sees a mix of two points.
+_last: tuple | None = None
+
+
+def _layer_maps(net: Network, x: np.ndarray) -> tuple:
+    """Per layer at a checked point x: pre-activations, states, activations
+    and the map (A, c) from the input to those activations.  Only the last
+    point's result is kept; another net object or other bytes of x miss."""
+    global _last
+    key = x.tobytes()
+    last = _last
+    if last is not None and last[0] is net and last[1] == key:
+        return last[2]
+    A = np.eye(net.input_dim)
+    c = np.zeros(net.input_dim)
+    layers = []
+    for layer, (z, s, h) in zip(net.layers, _walk(net, x)):
+        A, c = _layer_step(layer, s, A, c)
+        layers.append((z, s, h, A, c))
+    layers = tuple(layers)
+    _last = (net, key, layers)
+    return layers
+
+
 def unit_activation(net: Network, layer: int, unit: int, x) -> float:
     """Post-nonlinearity output of one unit at x."""
     _check_unit(net, layer, unit)
-    acts = forward(net, np.asarray(x, float))
-    return float(acts[layer][unit])
+    return float(_layer_maps(net, _checked_point(net, x))[layer][2][unit])
 
 
 def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
@@ -41,13 +82,13 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
 
     Row ``unit`` of the pattern-fixed composition through ``layer``; an
     inactive rectifier therefore yields the zero map, and a maxout unit
-    the map of its argmax branch.  The composition is ``pattern_affine``,
-    which also gives Region.affine, so the row agrees exactly with the
-    corresponding row of the map of x's region.
+    the map of its argmax branch.  x's walk composes with the layer step
+    of ``pattern_affine``, which gives Region.affine, so the row agrees
+    exactly with the corresponding row of the map of x's region.
     """
     _check_unit(net, layer, unit)
-    pattern = pattern_at(net, np.asarray(x, float))
-    return _tracked_map(net, unit, pattern[:layer + 1], None)
+    _, _, _, A, c = _layer_maps(net, _checked_point(net, x))[layer]
+    return AffineMap(A[unit:unit + 1].copy(), c[unit:unit + 1].copy())
 
 
 def output_map(net: Network, prefix, readout: AffineMap | None = None) -> AffineMap:
@@ -105,29 +146,42 @@ def _tracked_map(net: Network, unit: int, prefix, readout: AffineMap | None) -> 
 
 
 def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.ndarray:
-    """Central-difference gradient of the unit's activation at x."""
+    """Central-difference gradient of the unit's activation at x.
+
+    The 2*n0 shifted points walk through ``layer`` only and do not evict
+    x's kept layer maps."""
+    _check_unit(net, layer, unit)
+    x = _checked_point(net, x)
     step = 1e-6
-    x = np.asarray(x, float)
     grad = np.zeros(len(x))
     for i in range(len(x)):
         e = np.zeros(len(x))
         e[i] = step
         grad[i] = (
-            unit_activation(net, layer, unit, x + e)
-            - unit_activation(net, layer, unit, x - e)
+            _activation_through(net, layer, unit, x + e)
+            - _activation_through(net, layer, unit, x - e)
         ) / (2.0 * step)
     return grad
 
 
+def _activation_through(net: Network, layer: int, unit: int, x: np.ndarray) -> float:
+    """Unit ``unit`` of ``layer`` at x, from a walk that stops at that layer."""
+    for i, (_, _, H) in enumerate(_walk(net, x, states=False)):
+        if i == layer:
+            return float(H[unit])
+
+
 def boundary_clearance(net: Network, x) -> float:
     """Distance from x to the nearest activation boundary, measured with
-    input-space unit normals.  Infinite when no unit ever switches."""
-    x = np.asarray(x, float)
-    A = np.eye(net.input_dim)  # linear part of input -> the layer below, on x's region
+    input-space unit normals.  Infinite when no unit ever switches.
+
+    Reads x's kept layer maps: the pre-activations, the states and the
+    linear part below each layer."""
+    below = np.eye(net.input_dim)  # linear part of input -> the layer below, on x's region
     best = np.inf
-    for layer, (z, s, _) in zip(net.layers, _walk(net, x)):
-        G = layer.weights @ A  # input-space rows
-        A = layer_selection(layer, s)[0] @ A
+    for layer, (z, s, _, A, _) in zip(net.layers, _layer_maps(net, _checked_point(net, x))):
+        G = layer.weights @ below  # input-space rows
+        below = A
         k = layer.activation.rank
         if k > 1:
             # the selected branch against every branch of its unit
@@ -153,17 +207,24 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
                           tol: float = 1e-8) -> list[UnitPiece]:
     """Distinct affine maps a unit (or readout row) realizes over samples.
 
-    Only samples where the tracked value is strictly positive are kept.
+    ``samples`` must be finite and of shape (m, n0); an empty sample set
+    has no pieces.  Only samples where the tracked value is strictly
+    positive are kept.
     Maps are deduplicated within ``tol`` (max coefficient difference),
     each retaining its first representative sample, then sorted by
     coefficients so the result is independent of traversal order.
     """
+    X = np.asarray(samples, float)
+    want = f"samples must be finite and of shape (m, {net.input_dim})"
+    if X.size and (X.ndim != 2 or X.shape[1] != net.input_dim):
+        raise ValueError(f"{want}, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{want}, got non-finite entries")
     pieces: list[UnitPiece] = []
     keys: list[np.ndarray] = []
     # a prefix seen before fixes the same map, which matched a piece then
     seen: set[tuple] = set()
-    for raw in samples:
-        x = np.asarray(raw, float)
+    for x in X:
         act, _, prefix = _tracked(net, layer, unit, x, readout)
         if act <= 0.0 or prefix in seen:
             continue
@@ -199,8 +260,8 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     the target; the result is rejected if that step crosses a region
     boundary or fails to reach ``target_tol``.
     """
-    x1 = np.asarray(x1, float)
-    x2 = np.asarray(x2, float)
+    x1 = _checked_point(net, x1, "x1")
+    x2 = _checked_point(net, x2, "x2")
 
     a1, p1, q1 = _tracked(net, layer, unit, x1, readout)
     a2, p2, q2 = _tracked(net, layer, unit, x2, readout)

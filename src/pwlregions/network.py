@@ -281,15 +281,23 @@ def layer_selection(layer: Layer, layer_pattern: Sequence[int]) -> tuple[np.ndar
     return layer.weights[rows], layer.bias[rows]
 
 
+def _layer_step(layer: Layer, layer_pattern: Sequence[int],
+                A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map x -> A x + c carried through one more layer whose pattern
+    is fixed: ``(W A, W c + b)`` with ``(W, b)`` the layer's selection.
+    This is the one composition rule: ``pattern_affine`` and the probe walk
+    of ``linmap`` both compose with it, so their maps agree bit for bit."""
+    W, b = layer_selection(layer, layer_pattern)
+    return W @ A, W @ c + b
+
+
 def pattern_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
     """Affine map input -> activations of the last layer a fixed pattern
     covers; a prefix of a pattern covers the first ``len(prefix)`` layers."""
     A = np.eye(net.input_dim)
     c = np.zeros(net.input_dim)
     for layer, lp in zip(net.layers, pattern):
-        W, b = layer_selection(layer, lp)
-        c = W @ c + b
-        A = W @ A
+        A, c = _layer_step(layer, lp, A, c)
     return AffineMap(A, c)
 
 

@@ -250,3 +250,54 @@ def test_readout_rows_out_of_range(unit):
         enumerate_unit_pieces(net, 0, unit, [[0.5, 0.5], [-0.5, 0.5]], readout=readout)
     with pytest.raises(IndexError, match=f"readout row {unit} out of range"):
         find_identified_pair(net, 0, unit, [0.7, 0.2], [-0.9, 0.2], readout=readout)
+
+
+# ---------------------------------------------------------------------------
+# every entry point checks its point
+
+POINT_CALLS = {
+    "unit_linear_map": lambda net, x: unit_linear_map(net, 1, 0, x),
+    "unit_activation": lambda net, x: unit_activation(net, 1, 0, x),
+    "boundary_clearance": boundary_clearance,
+    "finite_difference_gradient": lambda net, x: finite_difference_gradient(net, 1, 0, x),
+    "find_identified_pair-x1": lambda net, x: find_identified_pair(net, 1, 0, x, [0.5, 0.5]),
+    "find_identified_pair-x2": lambda net, x: find_identified_pair(net, 1, 0, [0.5, 0.5], x),
+}
+BAD_POINTS = {
+    "row": [[0.3, -0.2]],                 # shape (1, 2)
+    "short": [0.3],
+    "long": [0.3, -0.2, 0.1],
+    "scalar": 0.3,
+    "nan": [np.nan, 0.0],
+    "inf": [0.3, -np.inf],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS.values(), ids=list(BAD_POINTS))
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=list(POINT_CALLS))
+def test_a_point_that_is_not_one_finite_n0_vector_is_refused(call, bad):
+    # a (1, 2) point gave a map of shape (1, 3, 2), a NaN point an infinite
+    # clearance and a zero map, a wrong length numpy's matmul message
+    with pytest.raises(ValueError, match=r"must be a finite point of shape \(2,\)"):
+        call(random_net(3), bad)
+
+
+BAD_SAMPLES = {
+    "nan": [[0.5, 0.5], [np.nan, 0.5]],   # a NaN sample gave a piece with activation NaN
+    "inf": [[np.inf, 0.5]],
+    "columns": [[0.5, 0.5, 0.5]],
+    "one-point": [0.5, 0.5],
+    "three-d": np.zeros((2, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SAMPLES.values(), ids=list(BAD_SAMPLES))
+def test_samples_that_are_not_finite_m_by_n0_are_refused(bad):
+    with pytest.raises(ValueError, match=r"samples must be finite and of shape \(m, 2\)"):
+        enumerate_unit_pieces(build_abs_net().network, 0, 1, bad)
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 2)), np.zeros((0, 1))],
+                         ids=["list", "m0", "m0-other-width"])
+def test_an_empty_sample_set_has_no_pieces(empty):
+    assert enumerate_unit_pieces(build_abs_net().network, 0, 1, empty) == []

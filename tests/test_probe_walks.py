@@ -15,7 +15,9 @@ from pwlregions.linmap import (
     boundary_clearance,
     enumerate_unit_pieces,
     find_identified_pair,
+    finite_difference_gradient,
     output_values,
+    unit_activation,
     unit_linear_map,
 )
 from pwlregions.network import (
@@ -85,6 +87,106 @@ def test_boundary_clearance_composes_as_it_walks(walks, monkeypatch):
     boundary_clearance(net, np.array([0.3, -0.4]))
     assert calls[0] == 0
     assert walks[0] == 1
+
+
+def test_every_unit_map_and_activation_and_the_clearance_cost_one_walk(walks):
+    # 2*U + 1 walks before the walk composed and kept the point's layer maps
+    net = _random_net(np.random.default_rng(2), ACT_RECTIFIER, (4, 3, 2))
+    x = np.array([0.4, -0.7])
+    for layer in range(net.depth):
+        for unit in range(net.layers[layer].width):
+            unit_linear_map(net, layer, unit, x)
+            unit_activation(net, layer, unit, x)
+    boundary_clearance(net, x)
+    assert walks[0] == 1
+
+
+def test_unit_maps_compose_each_layer_once(monkeypatch):
+    steps = [0]
+    inner = network._layer_step
+
+    def counted(*args, **kwargs):
+        steps[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(linmap, "_layer_step", counted)
+    net = _random_net(np.random.default_rng(3), ACT_RECTIFIER, (8, 8))
+    x = np.array([1.2, -0.3])
+    for layer in range(net.depth):
+        for unit in range(net.layers[layer].width):
+            unit_linear_map(net, layer, unit, x)
+    assert steps[0] == net.depth
+
+
+# ---------------------------------------------------------------------------
+# the kept layer maps of the last point
+
+def _all_unit_results(net, x):
+    """Every unit's map and activation and the clearance at x, as bytes."""
+    maps = [unit_linear_map(net, layer, unit, x)
+            for layer in range(net.depth) for unit in range(net.layers[layer].width)]
+    acts = [unit_activation(net, layer, unit, x)
+            for layer in range(net.depth) for unit in range(net.layers[layer].width)]
+    return ([(m.matrix.tobytes(), m.offset.tobytes()) for m in maps],
+            np.array(acts).tobytes(), np.float64(boundary_clearance(net, x)).tobytes())
+
+
+def _reference_results(net, x):
+    x = np.array(x, float)  # a copy: the reference must not see later mutations
+    maps = [ref_unit_linear_map(net, layer, unit, x)
+            for layer in range(net.depth) for unit in range(net.layers[layer].width)]
+    acts = np.concatenate(forward(net, x))
+    return ([(m.matrix.tobytes(), m.offset.tobytes()) for m in maps],
+            acts.tobytes(), np.float64(ref_boundary_clearance(net, x)).tobytes())
+
+
+def test_a_point_mutated_in_place_is_walked_again(walks):
+    net = _random_net(np.random.default_rng(4), maxout(2), (3, 3))
+    x = np.array([0.25, -1.5])
+    for coordinate in (None, -2.0):
+        if coordinate is not None:
+            x[0] = coordinate  # the same object with other bytes
+        want = _reference_results(net, x)
+        walks[0] = 0
+        assert _all_unit_results(net, x) == want
+        assert walks[0] == 1
+    assert want != _reference_results(net, [0.25, -1.5])
+
+
+def test_two_nets_of_one_shape_called_alternately_at_one_point(walks):
+    rng = np.random.default_rng(5)
+    nets = [_random_net(rng, ACT_RECTIFIER, (3, 4)) for _ in range(2)]
+    x = np.array([0.6, 0.1])
+    want = [_reference_results(net, x) for net in nets]
+    assert want[0] != want[1]
+    walks[0] = 0
+    for _ in range(3):
+        for net, w in zip(nets, want):
+            assert _all_unit_results(net, x) == w
+    assert walks[0] == 6  # every switch of net is a miss
+
+
+def test_finite_differences_leave_the_kept_point(walks):
+    net = _random_net(np.random.default_rng(6), maxout(3), (3, 2))
+    x = np.array([-0.8, 0.9])
+    want = _reference_results(net, x)
+    walks[0] = 0
+    m = unit_linear_map(net, 1, 0, x)
+    grad = finite_difference_gradient(net, 1, 0, x)
+    assert walks[0] == 1 + 2 * net.input_dim
+    assert np.max(np.abs(grad - m.matrix[0])) < 1e-6
+    assert _all_unit_results(net, x) == want
+    assert walks[0] == 1 + 2 * net.input_dim
+
+
+def test_negative_zero_is_another_point(walks):
+    net = _random_net(np.random.default_rng(7), ACT_RECTIFIER, (3, 3))
+    plus, minus = np.array([0.0, 0.4]), np.array([-0.0, 0.4])
+    want = {x.tobytes(): _reference_results(net, x) for x in (plus, minus)}
+    walks[0] = 0
+    for x in (plus, minus, plus):
+        assert _all_unit_results(net, x) == want[x.tobytes()]
+    assert walks[0] == 3  # equal values, other bytes: every switch of sign walks again
 
 
 # ---------------------------------------------------------------------------
