@@ -269,8 +269,10 @@ def cmd_linmap(args) -> int:
 
 def cmd_identify(args) -> int:
     net = _load_net(args.network)
-    _check_dim("--x1", len(args.x1), net.input_dim)
-    _check_dim("--x2", len(args.x2), net.input_dim)
+    for flag, x in (("--x1", args.x1), ("--x2", args.x2)):
+        _check_dim(flag, len(x), net.input_dim)
+        if not np.isfinite(x).all():
+            raise ValueError(f"{flag} is not finite: {','.join(map(str, x))}")
     readout = _readout_from(args, net.layers[-1].width)
     try:
         pair = find_identified_pair(net, args.layer, args.unit, args.x1, args.x2,

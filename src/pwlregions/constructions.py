@@ -36,9 +36,10 @@ from .network import (
     Network,
     maxout,
     pattern_at,
+    pattern_matrix,
     rectifier_structure,
 )
-from .linmap import _point, output_map, output_values
+from .linmap import output_map, output_values
 from .regions import Box, FeasibilityConfig, enumerate_regions
 
 
@@ -561,6 +562,7 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
     network restricted to the box's region, composed with the readout if
     given).  True iff every counterpart lies in its box, keeps the box's
     activation pattern, and reproduces the probe's output within 1e-8.
+    The probes, and each box's counterparts, are walked as one batch.
     """
     tol = 1e-8
     boxes = [tuple((float(lo), float(hi)) for lo, hi in b) for b in boxes]
@@ -573,31 +575,30 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
         pat = pattern_at(net, center)
         maps.append(output_map(net, pat, readout))
         patterns.append(pat)
+    if probe_count <= 0:
+        return True
 
     rng = np.random.default_rng(seed)
-    lo0 = np.array([lo for lo, _ in boxes[0]])
-    hi0 = np.array([hi for _, hi in boxes[0]])
-    for _ in range(probe_count):
-        x = lo0 + (hi0 - lo0) * rng.random(len(boxes[0]))
-        target = maps[0](x)
-        if np.max(np.abs(output_values(net, x, readout) - target)) > tol:
-            return False  # box 0 is not inside one region
-        for b, aff, pat in zip(boxes[1:], maps[1:], patterns[1:]):
-            A, c = aff.matrix, aff.offset
-            if A.shape[0] != A.shape[1]:
-                y, *_ = np.linalg.lstsq(A, target - c, rcond=None)
-            else:
-                try:
-                    y = np.linalg.solve(A, target - c)
-                except np.linalg.LinAlgError:
-                    return False
-            inside = all(lo < yi < hi for yi, (lo, hi) in zip(y, b))
-            if not inside:
+    lo0, hi0 = np.array(boxes[0]).T
+    X = lo0 + (hi0 - lo0) * rng.random((probe_count, len(boxes[0])))
+    T = X @ maps[0].matrix.T + maps[0].offset  # one target row per probe
+    if np.max(np.abs(output_values(net, X, readout) - T)) > tol:
+        return False  # box 0 is not inside one region
+    for b, aff, pat in zip(boxes[1:], maps[1:], patterns[1:]):
+        A, c = aff.matrix, aff.offset
+        if A.shape[0] != A.shape[1]:
+            Y, *_ = np.linalg.lstsq(A, (T - c).T, rcond=None)
+        else:
+            try:
+                Y = np.linalg.solve(A, (T - c).T)
+            except np.linalg.LinAlgError:
                 return False
-            pattern, acts = _point(net, y)
-            if pattern != pat:
-                return False
-            out = acts[-1] if readout is None else readout(acts[-1])
-            if np.max(np.abs(out - target)) > tol:
-                return False
+        Y = Y.T  # one counterpart row per probe
+        lo, hi = np.array(b).T
+        if not ((lo < Y) & (Y < hi)).all():
+            return False
+        if not (pattern_matrix(net, Y) == np.concatenate(pat)).all():
+            return False
+        if np.max(np.abs(output_values(net, Y, readout) - T)) > tol:
+            return False
     return True

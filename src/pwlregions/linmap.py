@@ -16,6 +16,7 @@ otherwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,19 +123,14 @@ def _check_unit(net: Network, layer: int, unit: int,
         raise IndexError(f"readout row {unit} out of range")
 
 
-def _point(net: Network, x) -> tuple:
-    """x's activation pattern and its per-layer activations, from one walk."""
-    steps = list(_walk(net, x))
-    return tuple(tuple(S.tolist()) for _, S, _ in steps), [H for _, _, H in steps]
-
-
 def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
     """The tracked value at x -- unit ``unit`` of ``layer``, or row ``unit``
     of ``readout`` applied to the last layer --, x's pattern, and the
     prefix of that pattern that fixes the value's map (see ``_tracked_map``)."""
     _check_unit(net, layer, unit, readout)
-    pattern, acts = _point(net, x)
-    value = float(acts[layer][unit] if readout is None else readout(acts[-1])[unit])
+    steps = list(_walk(net, x))
+    pattern = tuple(tuple(S.tolist()) for _, S, _ in steps)
+    value = float(steps[layer][2][unit] if readout is None else readout(steps[-1][2])[unit])
     return value, pattern, pattern if readout is not None else pattern[:layer + 1]
 
 
@@ -209,7 +205,8 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
 
     ``samples`` must be finite and of shape (m, n0); an empty sample set
     has no pieces.  Only samples where the tracked value is strictly
-    positive are kept.
+    positive are kept.  Each sample is walked once, through the layers
+    the tracked value reads.
     Maps are deduplicated within ``tol`` (max coefficient difference),
     each retaining its first representative sample, then sorted by
     coefficients so the result is independent of traversal order.
@@ -220,20 +217,27 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
         raise ValueError(f"{want}, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError(f"{want}, got non-finite entries")
+    _check_unit(net, layer, unit, readout)
+    depth = layer + 1 if readout is None else net.depth  # layers the value reads
     pieces: list[UnitPiece] = []
-    keys: list[np.ndarray] = []
+    keys = np.empty((0, net.input_dim + 1))
     # a prefix seen before fixes the same map, which matched a piece then
     seen: set[tuple] = set()
     for x in X:
-        act, _, prefix = _tracked(net, layer, unit, x, readout)
-        if act <= 0.0 or prefix in seen:
+        steps = list(itertools.islice(_walk(net, x), depth))
+        h = steps[-1][2]
+        act = float(h[unit] if readout is None else readout(h)[unit])
+        if act <= 0.0:
+            continue
+        prefix = tuple(tuple(S.tolist()) for _, S, _ in steps)
+        if prefix in seen:
             continue
         seen.add(prefix)
         m = _tracked_map(net, unit, prefix, readout)
         key = np.concatenate([m.matrix.ravel(), m.offset])
-        if all(np.max(np.abs(key - other)) > tol for other in keys):
+        if (np.abs(keys - key).max(axis=1) > tol).all():
             pieces.append(UnitPiece(m, x, act))
-            keys.append(key)
+            keys = np.vstack([keys, key])
     pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
     return pieces
 

@@ -188,7 +188,7 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
     pre-activations into states, by the tie rules in the module docstring.
     A batch of many points goes through matrix-matrix products, whose
     rounding can differ from one point's in the last bits; callers that
-    print per-point values walk point by point.  Two callers walk batches:
+    print per-point values walk point by point.  Three callers walk batches:
 
     - ``pattern_matrix``, for the grid oracle, which prints only a count
       of distinct patterns.  Its rows are checked against ``pattern_at``
@@ -199,6 +199,11 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
       that batch and point walks round alike (see the comment there);
       the tests check that the certificate has the ``repr`` of a point
       loop.
+    - ``constructions.identification_check``, which walks its probes and
+      each box's counterparts as batches and prints only a bool.  Last-bit
+      differences could flip it only for a counterpart within rounding of
+      a region boundary, or an output within rounding of the 1e-8
+      tolerance; the tests check it against a point loop.
     """
     H = np.asarray(X, dtype=float).T
     points = H.shape[1:]    # () for one point, (n,) for a batch

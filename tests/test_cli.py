@@ -312,6 +312,28 @@ def test_linmap_of_no_samples_lists_no_pieces(abs_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "[]\n"
 
 
+@pytest.mark.parametrize("x1, x2, code, err", [
+    ("nan,0.2", "-0.9,0.2", 2, "error: --x1 is not finite: nan,0.2\n"),
+    ("0.7,0.2", "-0.9,inf", 2, "error: --x2 is not finite: -0.9,inf\n"),
+    # unit 0 (relu x) is inactive at x2: a failed probe, not an input error
+    ("0.7,0.2", "-0.9,0.2", 1, "identification failed: "
+                               "unit must be active (positive value) at both points\n"),
+], ids=["x1-nan", "x2-inf", "inactive"])
+def test_identify_tells_a_bad_point_from_a_failed_probe(abs_path, x1, x2, code, err, capsys):
+    # a non-finite point used to exit 1, as a failed probe
+    assert main(["identify", abs_path, "--layer", "0", "--unit", "0",
+                 f"--x1={x1}", f"--x2={x2}"]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_linmap_of_no_samples_still_checks_the_layer(abs_path, capsys, monkeypatch):
+    # with no samples to check it against, --layer 7 used to exit 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    with pytest.warns(UserWarning, match="no data"):
+        assert main(["linmap", abs_path, "--layer", "7", "--unit", "0", "--points", "-"]) == 2
+    assert capsys.readouterr().err == "error: layer 7 out of range\n"
+
+
 def test_identify_rejects_a_malformed_point(abs_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identify", abs_path, "--layer", "0", "--unit", "0",

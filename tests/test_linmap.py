@@ -301,3 +301,12 @@ def test_samples_that_are_not_finite_m_by_n0_are_refused(bad):
                          ids=["list", "m0", "m0-other-width"])
 def test_an_empty_sample_set_has_no_pieces(empty):
     assert enumerate_unit_pieces(build_abs_net().network, 0, 1, empty) == []
+
+
+@pytest.mark.parametrize("layer, unit, rows", [(7, 9, 0), (0, 4, 0), (7, 0, 2), (0, 2, 2)],
+                         ids=["layer", "unit", "layer-with-readout", "readout-row"])
+def test_an_empty_sample_set_does_not_hide_a_bad_index(layer, unit, rows):
+    # each sample checked the index, so a set of none checked nothing
+    readout = AffineMap(np.eye(4)[:rows], np.zeros(rows)) if rows else None
+    with pytest.raises(IndexError, match="out of range"):
+        enumerate_unit_pieces(build_abs_net().network, layer, unit, [], readout=readout)

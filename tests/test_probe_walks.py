@@ -71,7 +71,9 @@ def test_unit_pieces_walk_each_sample_once(walks):
 def test_identification_check_walks_each_counterpart_once(walks):
     con = build_abs_net()
     assert identification_check(con.network, QUADRANTS, probe_count=20, readout=con.readout)
-    assert walks[0] == 4 + 20 * 4  # box centers, then each probe and its 3 counterparts
+    # box centers, the probes as one batch, then each other box's counterparts
+    # as one batch for their patterns and one for their outputs
+    assert walks[0] == 4 + 1 + 2 * 3
 
 
 def test_boundary_clearance_composes_as_it_walks(walks, monkeypatch):
@@ -411,3 +413,22 @@ def test_identification_check_equals_the_earlier_function_on_witnesses(build, bo
     for readout in (con.readout, None):
         assert identification_check(con.network, boxes, readout=readout, seed=seed) == \
             ref_identification_check(con.network, boxes, readout=readout, seed=seed)
+
+
+@pytest.mark.parametrize("rows, probe_count, want", [
+    # without a readout the four quadrants are four distinct outputs; no probe, no test
+    (None, 0, True),
+    (None, 20, False),
+    # |x| alone: lstsq puts box 1's counterparts on y = 0, outside the box
+    ([[1.0, 1.0, 0.0, 0.0]], 20, False),
+    # |x|, |y| and their sum: three rows of rank 2, solved exactly by lstsq
+    ([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]], 20, True),
+], ids=["no-probes", "no-readout", "lstsq-one-row", "lstsq-three-rows"])
+def test_identification_check_equals_the_earlier_function_without_probes_and_by_lstsq(
+        rows, probe_count, want):
+    net = build_abs_net().network
+    readout = None if rows is None else AffineMap(np.array(rows), np.zeros(len(rows)))
+    got = identification_check(net, QUADRANTS, probe_count=probe_count, readout=readout)
+    assert got == ref_identification_check(net, QUADRANTS, probe_count=probe_count,
+                                           readout=readout)
+    assert got is want
