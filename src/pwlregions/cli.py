@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 
 import numpy as np
@@ -86,6 +87,17 @@ def _numbers(kind):
 
 
 _ints, _floats = _numbers(int), _numbers(float)
+
+
+def _tolerance(text: str) -> float:
+    """A finite float >= 0; anything else is a usage error."""
+    try:
+        value = float(text)
+        if 0 <= value < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
 
 
 def _rows(text: str) -> tuple:
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--readout", type=_rows, metavar="ROWS",
                    help="optional linear readout 'c1,c2;d1,d2' applied after the net")
     p.add_argument("--readout-offset", type=_floats, metavar="O1,O2,...")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_tolerance, default=1e-8,
                    help="coefficient tolerance for merging pieces")
     _add_output(p)
     p.set_defaults(func=cmd_linmap)
@@ -437,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first point (use --x1=-1,2 for negative values)")
     p.add_argument("--x2", type=_floats, required=True, metavar="A,B,...",
                    help="second point, to be adjusted")
-    p.add_argument("--target-tol", type=float, default=1e-10)
+    p.add_argument("--target-tol", type=_tolerance, default=1e-10,
+                   help="largest miss of the target value (finite, >= 0)")
     p.add_argument("--readout", type=_rows, metavar="ROWS",
                    help="optional linear readout; the unit indexes its rows")
     p.add_argument("--readout-offset", type=_floats, metavar="O1,O2,...")

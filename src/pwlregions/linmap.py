@@ -17,6 +17,7 @@ otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
     Row ``unit`` of the pattern-fixed composition through ``layer``; an
     inactive rectifier therefore yields the zero map, and a maxout unit
     the map of its argmax branch.  x's walk composes with the layer step
-    of ``pattern_affine``, which gives Region.affine, so the row agrees
+    that the enumerator steps Region.affine with, so the row agrees
     exactly with the corresponding row of the map of x's region.
     """
     _check_unit(net, layer, unit)
@@ -207,10 +208,13 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     has no pieces.  Only samples where the tracked value is strictly
     positive are kept.  Each sample is walked once, through the layers
     the tracked value reads.
-    Maps are deduplicated within ``tol`` (max coefficient difference),
-    each retaining its first representative sample, then sorted by
-    coefficients so the result is independent of traversal order.
+    Maps are deduplicated within ``tol`` (max coefficient difference,
+    finite and >= 0), each retaining its first representative sample,
+    then sorted by coefficients so the result is independent of
+    traversal order.
     """
+    if not 0 <= tol < math.inf:  # a NaN tol would merge every piece
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     X = np.asarray(samples, float)
     want = f"samples must be finite and of shape (m, {net.input_dim})"
     if X.size and (X.ndim != 2 or X.shape[1] != net.input_dim):
@@ -262,10 +266,13 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
 
     The value map is affine on the region, so a single exact step lands on
     the target; the result is rejected if that step crosses a region
-    boundary or fails to reach ``target_tol``.
+    boundary or fails to reach ``target_tol``, which must be finite and
+    >= 0.
     """
     x1 = _checked_point(net, x1, "x1")
     x2 = _checked_point(net, x2, "x2")
+    if not 0 <= target_tol < math.inf:
+        raise ValueError(f"target_tol must be finite and >= 0, got {target_tol!r}")
 
     a1, p1, q1 = _tracked(net, layer, unit, x1, readout)
     a2, p2, q2 = _tracked(net, layer, unit, x2, readout)

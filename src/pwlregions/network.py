@@ -290,8 +290,9 @@ def _layer_step(layer: Layer, layer_pattern: Sequence[int],
                 A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The map x -> A x + c carried through one more layer whose pattern
     is fixed: ``(W A, W c + b)`` with ``(W, b)`` the layer's selection.
-    This is the one composition rule: ``pattern_affine`` and the probe walk
-    of ``linmap`` both compose with it, so their maps agree bit for bit."""
+    This is the one composition rule: ``pattern_affine``, the probe walk of
+    ``linmap`` and the enumerator, which steps each cell's map once per
+    layer, all compose with it, so their maps agree bit for bit."""
     W, b = layer_selection(layer, layer_pattern)
     return W @ A, W @ c + b
 

@@ -4,9 +4,9 @@ The enumerator walks the stack layer by layer.  Every region is an open
 polyhedron of the input box, carried as strict inequalities
 ``normal . x < offset`` (rows unit-normalized), together with the
 activation pattern that produced it, its vertices, and an interior witness
-point.  The map the network applies on a cell is not carried: it is
-``network.pattern_affine`` of the cell's pattern, computed once per cell
-and layer to build the units' rows, and once per region for its affine map.
+point.  Each live cell carries the map ``(A, c)`` into the current layer's
+inputs, from which the units' rows are built; one ``network._layer_step``
+per cell and layer gives each child its map, and each region its own.
 
 Each rectifier unit folds back to a single input-space hyperplane per
 region; each rank-k maxout unit yields k candidate children, one per
@@ -56,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import network
-from .network import Network, forward, pattern_affine, pattern_code, pattern_matrix
+from .network import Network, _layer_step, forward, pattern_code, pattern_matrix
 
 Box = tuple[tuple[float, float], ...]
 
@@ -115,7 +115,7 @@ class FeasibilityConfig:
 @dataclass(frozen=True, eq=False)
 class Region:
     """One open cell: {x : normals @ x < offsets}, with a witness strictly
-    inside and the map ``pattern_affine(net, pattern)`` the net applies on it."""
+    inside and the affine map the net applies on it."""
 
     normals: np.ndarray        # (m, n0), unit rows
     offsets: np.ndarray        # (m,)
@@ -426,16 +426,16 @@ def _maxout_children(G, D):
             yield t, rows
 
 
-def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int) -> list[_Cell]:
-    """Push one cell through every unit of layer ``index``.  ``held`` live
-    cells lie outside this one; with them, every child created counts
-    against ``cfg.region_cap``."""
+def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,
+                    A, c0) -> list[tuple]:
+    """Push one cell, where the layer's inputs are ``A x + c0``, through
+    every unit of layer ``index``.  ``held`` live cells lie outside this
+    one; with them, every child created counts against ``cfg.region_cap``.
+    Returns each child with its map, one ``_layer_step`` of ``(A, c0)``."""
     cells = [cell]
     layer = net.layers[index]
     k = layer.activation.rank
     W, b = layer.weights, layer.bias
-    below = pattern_affine(net, cell.pattern)  # input -> the layer's inputs, on cell
-    A, c0 = below.matrix, below.offset
     fixed = len(cell.pattern)  # layers whose states are tuples already
     for j in range(layer.width):
         # every cell here lies in cell, where the layer's inputs follow one map
@@ -469,7 +469,7 @@ def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int) -> li
             )
     for c in cells:  # fix the layer's pattern; every cell here is new
         c.pattern = c.pattern[:fixed] + [tuple(c.pattern[fixed:])]
-    return cells
+    return [(c, *_layer_step(layer, c.pattern[-1], A, c0)) for c in cells]
 
 
 def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> RegionSet:
@@ -481,23 +481,22 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         raise ValueError("enumeration supports input dimension <= 4")
     box = cfg.resolved_box(n0)
 
-    cells, maps = [_root_cell(box)], []
+    cells = [(_root_cell(box), np.eye(n0), np.zeros(n0))]  # (cell, A, c)
     with np.errstate(over="raise"):  # an overflowing map is an error, not an inf
         try:
             for index in range(net.depth):
-                done: list[_Cell] = []
-                for i, c in enumerate(cells):
-                    done += _subdivide_cell(c, net, index, cfg, len(done) + len(cells) - i - 1)
+                done: list[tuple] = []
+                for i, (c, A, c0) in enumerate(cells):
+                    done += _subdivide_cell(c, net, index, cfg,
+                                            len(done) + len(cells) - i - 1, A, c0)
                 cells = done
-            for c in cells:
-                maps.append(pattern_affine(net, c.pattern))
         except FloatingPointError:
             raise EnumerationError(f"float overflow at layer {index}, "
                                    f"cell '{pattern_code(c.pattern)}'") from None
 
     regions = []
-    for c, aff in zip(cells, maps):
-        pattern = tuple(c.pattern)
+    for c, A, c0 in cells:
+        pattern, aff = tuple(c.pattern), network.AffineMap(A, c0)
         # rounding in the composed map and in the forward pass both grow
         # with the magnitude of the terms summed, so the bound scales with it
         scale = (np.abs(aff.offset).max()

@@ -326,6 +326,29 @@ def test_identify_tells_a_bad_point_from_a_failed_probe(abs_path, x1, x2, code, 
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "1e-8x"])
+@pytest.mark.parametrize("cmd, flag", [
+    (["linmap", "--layer", "0", "--unit", "0", "--points", "-"], "--tol"),
+    (["identify", "--layer", "0", "--unit", "0", "--x1", "0.7,0.2", "--x2=-0.9,0.2"],
+     "--target-tol"),
+], ids=["linmap", "identify"])
+def test_a_bad_tolerance_is_a_usage_error(abs_path, cmd, flag, value, capsys, monkeypatch):
+    # --target-tol=-1 used to fail the probe ("adjustment landed 0.000e+00
+    # from the target value", exit 1), and --tol nan merged every piece
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.5,0.5\n-0.5,0.5\n"))
+    with pytest.raises(SystemExit) as exc:
+        main([cmd[0], abs_path] + cmd[1:] + ["--readout", "1,1,0,0;0,0,1,1",
+                                             f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not a finite number >= 0: '{value}'" in capsys.readouterr().err
+
+
+def test_identify_accepts_a_zero_target_tolerance(abs_path, capsys):
+    assert main(["identify", abs_path, "--layer", "0", "--unit", "0", "--x1", "0.7,0.2",
+                 "--x2=-0.9,0.2", "--readout", "1,1,0,0;0,0,1,1", "--target-tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == [-0.7, 0.2]
+
+
 def test_linmap_of_no_samples_still_checks_the_layer(abs_path, capsys, monkeypatch):
     # with no samples to check it against, --layer 7 used to exit 0
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

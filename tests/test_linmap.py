@@ -310,3 +310,31 @@ def test_an_empty_sample_set_does_not_hide_a_bad_index(layer, unit, rows):
     readout = AffineMap(np.eye(4)[:rows], np.zeros(rows)) if rows else None
     with pytest.raises(IndexError, match="out of range"):
         enumerate_unit_pieces(build_abs_net().network, layer, unit, [], readout=readout)
+
+
+BAD_TOLS = {"nan": np.nan, "negative": -1.0, "inf": np.inf, "minus-inf": -np.inf}
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS.values(), ids=list(BAD_TOLS))
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_refused(tol):
+    # a NaN tol merged the sawtooth readout's 3 pieces into 1, and a
+    # negative target_tol failed every probe as "landed 0.000e+00 from it"
+    con = sawtooth_network(3)
+    samples = np.linspace(0.1, 2.9, 29)[:, None]
+    with pytest.raises(ValueError, match=r"^tol must be finite and >= 0"):
+        enumerate_unit_pieces(con.network, 0, 0, samples, readout=con.readout, tol=tol)
+    abs_net = build_abs_net()
+    with pytest.raises(ValueError, match=r"^target_tol must be finite and >= 0"):
+        find_identified_pair(abs_net.network, 0, 0, [0.7, 0.2], [-0.9, 0.2],
+                             target_tol=tol, readout=abs_net.readout)
+
+
+def test_a_zero_tolerance_is_allowed():
+    con = sawtooth_network(3)
+    samples = np.linspace(0.1, 2.9, 29)[:, None]
+    assert len(enumerate_unit_pieces(con.network, 0, 0, samples,
+                                     readout=con.readout, tol=0.0)) == 3
+    abs_net = build_abs_net()
+    pair = find_identified_pair(abs_net.network, 0, 0, [0.7, 0.2], [-0.9, 0.2],
+                                target_tol=0.0, readout=abs_net.readout)
+    assert pair.point.tolist() == [-0.7, 0.2]

@@ -110,7 +110,7 @@ def test_patterns_sorted_and_distinct():
 
 def test_region_cap(monkeypatch):
     # the abs net's one layer makes 4 cells; the cap stops it at the third,
-    # before the layer finishes and a region's map is composed from its pattern
+    # before the layer finishes and a child's map is stepped through it
     finished = []
     true_selection = network.layer_selection
 
@@ -327,6 +327,34 @@ def test_unit_rows_are_built_once_per_parent_cell(name, monkeypatch):
     assert sum(pairs) == expected
     assert {k: len(v) for k, v in calls.items()} == {
         k: expected if k == fn else 0 for k in calls}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("rank, width", [(1, 4), (2, 3), (3, 2)],
+                         ids=["rectifier", "maxout2", "maxout3"])
+def test_one_layer_step_per_cell_and_layer(rank, width, depth, exact, monkeypatch):
+    """Each live cell carries its map, and each child's map is one
+    ``_layer_step`` of its parent's: one step per distinct pattern prefix,
+    and none composed from the input by ``pattern_affine``."""
+    steps = []
+    true_step = regions._layer_step
+
+    def step(layer, states, A, c):
+        steps.append(states)
+        return true_step(layer, states, A, c)
+
+    def from_the_input(*args):
+        raise AssertionError("a map was composed from the input")
+
+    monkeypatch.setattr(regions, "_layer_step", step)
+    monkeypatch.setattr(network, "pattern_affine", from_the_input)
+    net = _random_net([5, rank, depth], 2, (width,) * depth, rank)
+    rs = enumerate_regions(net, dataclasses.replace(BOX10, exact_rational=exact))
+    assert "pattern_affine" not in vars(regions)
+    assert rs.count > depth
+    assert len(steps) == sum(len({r.pattern[:i + 1] for r in rs.regions})
+                             for i in range(depth))
 
 
 def test_miss_rule_holds_after_an_exact_witness(monkeypatch):
