@@ -35,11 +35,10 @@ from .network import (
     Layer,
     Network,
     maxout,
-    pattern_at,
     pattern_matrix,
     rectifier_structure,
 )
-from .linmap import output_map, output_values
+from .linmap import output_values, region_map
 from .regions import Box, FeasibilityConfig, enumerate_regions
 
 
@@ -569,12 +568,8 @@ def identification_check(net: Network, boxes, probe_count: int = 20,
     if len(boxes) < 2:
         raise ValueError("need at least two boxes")
 
-    maps, patterns = [], []
-    for b in boxes:
-        center = np.array([(lo + hi) / 2 for lo, hi in b])
-        pat = pattern_at(net, center)
-        maps.append(output_map(net, pat, readout))
-        patterns.append(pat)
+    centers = [np.array([(lo + hi) / 2 for lo, hi in b]) for b in boxes]
+    patterns, maps = zip(*(region_map(net, x, readout) for x in centers))
     if probe_count <= 0:
         return True
 

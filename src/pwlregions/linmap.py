@@ -9,9 +9,10 @@ demonstrating that the two surrounding regions are folded together.
 
 A probe point is walked once: the walk composes its map layer by layer
 with ``network._layer_step``, the step of ``pattern_affine``, and the last
-point's layer maps are kept (``_layer_maps``).  Entry points take one
-finite point (n0,), or finite samples (m, n0), and raise ``ValueError``
-otherwise.
+point's layer maps are kept (``_layer_maps``).  This is the one path from
+a point to its region's map: the unit maps, the clearance, the pair probe
+and ``region_map`` all read it.  Entry points take one finite point (n0,),
+or finite samples (m, n0), and raise ``ValueError`` otherwise.
 """
 
 from __future__ import annotations
@@ -93,12 +94,24 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
     return AffineMap(A[unit:unit + 1].copy(), c[unit:unit + 1].copy())
 
 
-def output_map(net: Network, prefix, readout: AffineMap | None = None) -> AffineMap:
-    """The affine map a pattern prefix fixes from the input to the
-    activations of its last layer, after ``readout`` if one is given (the
-    prefix is then a whole pattern)."""
-    full = pattern_affine(net, prefix)
-    return full if readout is None else readout.compose(full)
+def region_map(net: Network, x, readout: AffineMap | None = None) -> tuple[tuple, AffineMap]:
+    """x's activation pattern, and the map of x's region from the input to
+    the last layer, after ``readout`` if one is given; read from x's walk."""
+    layers = _layer_maps(net, _checked_point(net, x))
+    full = AffineMap(*layers[-1][3:])
+    return _pattern(layers), full if readout is None else readout.compose(full)
+
+
+def _pattern(layers: tuple) -> tuple:
+    """The activation pattern of a point's layer maps."""
+    return tuple(tuple(s.tolist()) for _, s, _, _, _ in layers)
+
+
+def _value_map(full: AffineMap, unit: int, readout: AffineMap | None) -> AffineMap:
+    """Row ``unit`` of ``full``, after ``readout`` if one is given."""
+    if readout is not None:
+        full = readout.compose(full)
+    return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
 
 
 def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarray:
@@ -124,24 +137,6 @@ def _check_unit(net: Network, layer: int, unit: int,
         raise IndexError(f"readout row {unit} out of range")
 
 
-def _tracked(net: Network, layer: int, unit: int, x, readout: AffineMap | None):
-    """The tracked value at x -- unit ``unit`` of ``layer``, or row ``unit``
-    of ``readout`` applied to the last layer --, x's pattern, and the
-    prefix of that pattern that fixes the value's map (see ``_tracked_map``)."""
-    _check_unit(net, layer, unit, readout)
-    steps = list(_walk(net, x))
-    pattern = tuple(tuple(S.tolist()) for _, S, _ in steps)
-    value = float(steps[layer][2][unit] if readout is None else readout(steps[-1][2])[unit])
-    return value, pattern, pattern if readout is not None else pattern[:layer + 1]
-
-
-def _tracked_map(net: Network, unit: int, prefix, readout: AffineMap | None) -> AffineMap:
-    """Row ``unit`` of the map that a pattern prefix fixes, after
-    ``readout`` if one is given (the prefix is then a whole pattern)."""
-    full = output_map(net, prefix, readout)
-    return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
-
-
 def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.ndarray:
     """Central-difference gradient of the unit's activation at x.
 
@@ -154,18 +149,10 @@ def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.nda
     for i in range(len(x)):
         e = np.zeros(len(x))
         e[i] = step
-        grad[i] = (
-            _activation_through(net, layer, unit, x + e)
-            - _activation_through(net, layer, unit, x - e)
-        ) / (2.0 * step)
+        plus, minus = [next(itertools.islice(_walk(net, y, states=False), layer, None))[2][unit]
+                       for y in (x + e, x - e)]
+        grad[i] = (float(plus) - float(minus)) / (2.0 * step)
     return grad
-
-
-def _activation_through(net: Network, layer: int, unit: int, x: np.ndarray) -> float:
-    """Unit ``unit`` of ``layer`` at x, from a walk that stops at that layer."""
-    for i, (_, _, H) in enumerate(_walk(net, x, states=False)):
-        if i == layer:
-            return float(H[unit])
 
 
 def boundary_clearance(net: Network, x) -> float:
@@ -237,7 +224,7 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
         if prefix in seen:
             continue
         seen.add(prefix)
-        m = _tracked_map(net, unit, prefix, readout)
+        m = _value_map(pattern_affine(net, prefix), unit, readout)
         key = np.concatenate([m.matrix.ravel(), m.offset])
         if (np.abs(keys - key).max(axis=1) > tol).all():
             pieces.append(UnitPiece(m, x, act))
@@ -274,11 +261,18 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     if not 0 <= target_tol < math.inf:
         raise ValueError(f"target_tol must be finite and >= 0, got {target_tol!r}")
 
-    a1, p1, q1 = _tracked(net, layer, unit, x1, readout)
-    a2, p2, q2 = _tracked(net, layer, unit, x2, readout)
+    _check_unit(net, layer, unit, readout)
+
+    def tracked(x):
+        """The tracked value at x, x's pattern and the value's (A, c) there."""
+        layers = _layer_maps(net, x)
+        _, _, h, A, c = layers[layer if readout is None else -1]
+        return float(h[unit] if readout is None else readout(h)[unit]), _pattern(layers), A, c
+
+    (a1, p1, *f1), (a2, p2, *f2) = tracked(x1), tracked(x2)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("unit must be active (positive value) at both points")
-    m1, m2 = _tracked_map(net, unit, q1, readout), _tracked_map(net, unit, q2, readout)
+    m1, m2 = (_value_map(AffineMap(*f), unit, readout) for f in (f1, f2))
     if p1 == p2:
         return IdentifiedPair(x2.copy(), m1, m2, True)
 
@@ -287,7 +281,7 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     if gnorm2 < 1e-24:
         raise IdentificationError("value gradient vanishes at the second point")
     adjusted = x2 + ((a1 - a2) / gnorm2) * g
-    a3, p3, _ = _tracked(net, layer, unit, adjusted, readout)
+    a3, p3, *_ = tracked(adjusted)
     if p3 != p2:
         raise IdentificationError(
             "no identified pair along this ray: the region boundary is crossed first"

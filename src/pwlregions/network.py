@@ -23,6 +23,7 @@ Activation-pattern conventions, used consistently everywhere:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -182,10 +183,11 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
     """Walk one point (n0,) or the rows of a batch (n, n0) through the stack.
 
     Yields, per layer, the pre-activations (rank*width values), the states
-    (width ints; None unless ``states``) and the activations (width
-    values), each of shape (values,) for one point and (values, n) for a
-    batch, one column per point.  This is the one place that turns
-    pre-activations into states, by the tie rules in the module docstring.
+    (width ints, int8 unless a maxout rank above 128 needs intp; None
+    unless ``states``) and the activations (width values), each of shape
+    (values,) for one point and (values, n) for a batch, one column per
+    point.  This is the one place that turns pre-activations into states,
+    by the tie rules in the module docstring.
     A batch of many points goes through matrix-matrix products, whose
     rounding can differ from one point's in the last bits; callers that
     print per-point values walk point by point.  Three callers walk batches:
@@ -200,7 +202,8 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
       the tests check that the certificate has the ``repr`` of a point
       loop.
     - ``constructions.identification_check``, which walks its probes and
-      each box's counterparts as batches and prints only a bool.  Last-bit
+      each box's counterparts as batches and prints only a bool (its box
+      centres are points, walked by ``linmap.region_map``).  Last-bit
       differences could flip it only for a counterpart within rounding of
       a region boundary, or an output within rounding of the 1e-8
       tolerance; the tests check it against a point loop.
@@ -218,7 +221,8 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
         else:
             ZZ = Z.reshape((layer.width, k) + points)
             if states:
-                S = ZZ.argmax(axis=1).astype(np.int8)
+                # one byte per unit while a branch index fits in it
+                S = ZZ.argmax(axis=1).astype(np.int8 if k <= 128 else np.intp, copy=False)
             H = ZZ.max(axis=1)
         yield Z, S, H
 
@@ -234,7 +238,7 @@ def pattern_at(net: Network, x: np.ndarray) -> ActivationPattern:
 
 
 def pattern_matrix(net: Network, X: np.ndarray) -> np.ndarray:
-    """Vectorized ``pattern_at`` over rows of ``X``; one int per unit."""
+    """Vectorized ``pattern_at`` over rows of ``X``: one int per unit, in one dtype."""
     return np.hstack([S.T for _, S, _ in _walk(net, X)])
 
 
@@ -291,8 +295,9 @@ def _layer_step(layer: Layer, layer_pattern: Sequence[int],
     """The map x -> A x + c carried through one more layer whose pattern
     is fixed: ``(W A, W c + b)`` with ``(W, b)`` the layer's selection.
     This is the one composition rule: ``pattern_affine``, the probe walk of
-    ``linmap`` and the enumerator, which steps each cell's map once per
-    layer, all compose with it, so their maps agree bit for bit."""
+    ``linmap`` (every map it reads at one point) and the enumerator, which
+    steps each cell's map once per layer, all compose with it, so their
+    maps agree bit for bit."""
     W, b = layer_selection(layer, layer_pattern)
     return W @ A, W @ c + b
 
@@ -336,6 +341,15 @@ def save_network(net: Network, fp: IO[str] | str) -> None:
 def _require(cond: bool, where: str, msg: str):
     if not cond:
         raise NetworkFormatError(f"{where}: {msg}")
+
+
+def _numbers(values: list, where: str) -> list[float]:
+    """``values`` as floats; each must be a number a float holds finitely."""
+    for j, v in enumerate(values):
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+                 where, "entries must be numbers")
+        _require(abs(v) <= sys.float_info.max, where, f"entry {j} is not a finite float")
+    return [float(v) for v in values]
 
 
 def network_from_dict(doc) -> Network:
@@ -383,17 +397,12 @@ def network_from_dict(doc) -> Network:
             _require(isinstance(row, list), f"{where}: weights row {r}", "expected an array")
             _require(len(row) == fan, f"{where}: weights row {r}",
                      f"has length {len(row)}, expected {fan}")
-            for v in row:
-                _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                         f"{where}: weights row {r}", "entries must be numbers")
-            mat.append([float(v) for v in row])
+            mat.append(_numbers(row, f"{where}: weights row {r}"))
         bias = entry["bias"]
         _require(isinstance(bias, list) and len(bias) == act.rank * width, where,
                  f"bias must be an array of length {act.rank * width}")
-        for v in bias:
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                     f"{where}: bias", "entries must be numbers")
-        layers.append(Layer(np.array(mat, dtype=float), np.array(bias, dtype=float), act))
+        layers.append(Layer(np.array(mat, dtype=float),
+                            np.array(_numbers(bias, f"{where}: bias")), act))
         fan = width
     return Network(n0, tuple(layers))
 

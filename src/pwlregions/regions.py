@@ -560,11 +560,11 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
     The grid is walked ``_GRID_BLOCK`` points at a time, each point's
     coordinates computed from its indices, so memory does not grow with
     the resolution.  Time does, so grids of more than ``_GRID_LIMIT``
-    points are refused.  A pattern row is one int8 per unit, so
-    two rows are the same pattern exactly when their bytes are equal:
-    each block's rows, less every row equal to the one before it, are
-    counted as opaque byte strings, and so are the distinct rows of all
-    blocks together.
+    points are refused.  A pattern row is one integer of one dtype per
+    unit (see ``network._walk``), so two rows are the same pattern exactly
+    when their bytes are equal: each block's rows, less every row equal to
+    the one before it, are counted as opaque byte strings, and so are the
+    distinct rows of all blocks together.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")

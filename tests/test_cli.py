@@ -80,6 +80,20 @@ def test_enumerate_exit_codes(abs_path, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN"],
+                         ids=["10**400", "1e400", "nan"])
+def test_a_number_a_float_cannot_hold_is_a_bad_network_file(tmp_path, number, capsys):
+    # an integer beyond the float range used to exit 1 with an OverflowError
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"input_dim": 1, "layers": [{"activation": "rectifier", '
+                   f'"width": 1, "weights": [[{number}]], "bias": [0]}}]}}')
+    assert main(["enumerate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("bad network file: layer 0: weights row 0: "
+                            "entry 0 is not a finite float\n")
+
+
 @pytest.mark.parametrize("cmd", ["enumerate", "regions2d"])
 def test_cap_exit_names_where_the_cap_was_hit(abs_path, cmd, capsys):
     assert main([cmd, abs_path, "--cap", "2"]) == 3

@@ -14,8 +14,8 @@ from pwlregions.linmap import (
     enumerate_unit_pieces,
     find_identified_pair,
     finite_difference_gradient,
-    output_map,
     output_values,
+    region_map,
     unit_activation,
     unit_linear_map,
 )
@@ -139,7 +139,7 @@ def test_boundary_clearance_matches_reference(act):
 def test_readout_linear_map():
     con = sawtooth_network(3)
     x = np.array([1.4])
-    full = output_map(con.network, pattern_at(con.network, x), con.readout)
+    _, full = region_map(con.network, x, con.readout)
     assert np.allclose(full(x), con.value(x))
     assert full.matrix[0, 0] == pytest.approx(-1.0)  # descending piece
 

@@ -29,6 +29,9 @@ from pwlregions.network import (
     save_network,
     structure_of,
 )
+from pwlregions.constructions import build_maxout_parallel
+from pwlregions.linmap import boundary_clearance, unit_linear_map
+from pwlregions.regions import oracle_count_by_grid
 
 
 def networks_equal(a: Network, b: Network) -> bool:
@@ -115,6 +118,26 @@ def test_pattern_matrix_agrees_with_pattern_at():
     for row, x in zip(M, X):
         flat = [u for lay in pattern_at(net, x) for u in lay]
         assert row.tolist() == flat
+
+
+@pytest.mark.parametrize("rank", [130, 300])
+def test_maxout_states_hold_every_branch_index(rank):
+    # unit breakpoints at x = 1 .. rank-1: x in (t, t+1) selects branch t,
+    # past the 127 that a signed byte holds
+    net = build_maxout_parallel(1, 1, rank).network
+    x = np.array([rank - 1.5])
+    assert pattern_at(net, x) == ((rank - 2,),)
+    assert pattern_matrix(net, x[None, :]).tolist() == [[rank - 2]]
+    assert unit_linear_map(net, 0, 0, x)(x) == forward(net, x)[0]
+    assert boundary_clearance(net, x) == pytest.approx(0.5)
+    assert oracle_count_by_grid(net, ((-1.0, rank + 1.0),), 20 * (rank + 2)) == rank
+
+
+def test_states_stay_one_byte_where_a_byte_holds_them():
+    rng = np.random.default_rng(3)
+    for act in (ACT_RECTIFIER, maxout(2), maxout(128)):
+        net = _random_net(rng, 2, (3,), act)
+        assert pattern_matrix(net, rng.normal(size=(5, 2))).dtype == np.int8
 
 
 def test_tie_rules_agree_between_point_and_batch():
@@ -219,6 +242,21 @@ def test_format_errors(mangle):
     mangle(doc)
     with pytest.raises(NetworkFormatError):
         network_from_dict(doc)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
+                                    "-" + "9" * 320],
+                         ids=["nan", "inf", "-inf", "1e400", "10**400", "-(10**320-1)"])
+@pytest.mark.parametrize("field, where", [
+    ('"weights": [[0.5, %s]], "bias": [0]', "layer 0: weights row 0: entry 1"),
+    ('"weights": [[0.5, 1]], "bias": [%s]', "layer 0: bias: entry 0"),
+], ids=["weights", "bias"])
+def test_numbers_a_float_cannot_hold_name_their_field(number, field, where):
+    text = ('{"input_dim": 2, "layers": [{"activation": "rectifier", "width": 1, '
+            + field % number + '}]}')
+    with pytest.raises(NetworkFormatError) as exc:
+        load_network(io.StringIO(text))
+    assert str(exc.value) == f"{where} is not a finite float"
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from pwlregions.linmap import (
     find_identified_pair,
     finite_difference_gradient,
     output_values,
+    region_map,
     unit_activation,
     unit_linear_map,
 )
@@ -74,6 +75,19 @@ def test_identification_check_walks_each_counterpart_once(walks):
     # box centers, the probes as one batch, then each other box's counterparts
     # as one batch for their patterns and one for their outputs
     assert walks[0] == 4 + 1 + 2 * 3
+
+
+def test_pair_and_box_probes_read_the_walk_and_compose_nothing_again(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pattern_affine called")
+
+    monkeypatch.setattr(network, "pattern_affine", refuse)
+    monkeypatch.setattr(linmap, "pattern_affine", refuse)
+    con = build_abs_net()
+    for x2 in ([-0.9, 0.2], [0.5, -0.4], [0.6, 0.3]):  # x1's own region last
+        find_identified_pair(con.network, 0, 0, [0.7, 0.2], x2, readout=con.readout)
+        find_identified_pair(con.network, 0, 0, [0.7, 0.2], abs(np.array(x2)))
+    assert identification_check(con.network, QUADRANTS, probe_count=20, readout=con.readout)
 
 
 def test_boundary_clearance_composes_as_it_walks(walks, monkeypatch):
@@ -328,6 +342,18 @@ def ref_identification_check(net, boxes, probe_count=20, readout=None, tol=1e-8,
 
 # ---------------------------------------------------------------------------
 # bit identity
+
+@pytest.mark.parametrize("name", ["rectifier", "maxout3"])
+@pytest.mark.parametrize("with_readout", [False, True], ids=["last-layer", "readout"])
+def test_region_map_equals_the_earlier_output_map(name, with_readout):
+    rng = np.random.default_rng([7, list(ACTS).index(name), int(with_readout)])
+    net = _random_net(rng, ACTS[name], (4, 3, 3))
+    readout = AffineMap(rng.normal(size=(2, 3)), rng.normal(size=2)) if with_readout else None
+    for x in rng.uniform(-2.0, 2.0, size=(30, 2)):
+        pattern, got = region_map(net, x, readout)
+        assert pattern == pattern_at(net, x)
+        assert _same_map(got, ref_output_map(net, pattern, readout))
+
 
 def _random_net(rng, act, widths, n0=2):
     layers, fan = [], n0
