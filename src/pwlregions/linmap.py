@@ -12,7 +12,10 @@ with ``network._layer_step``, the step of ``pattern_affine``, and the last
 point's layer maps are kept (``_layer_maps``).  This is the one path from
 a point to its region's map: the unit maps, the clearance, the pair probe
 and ``region_map`` all read it.  Entry points take one finite point (n0,),
-or finite samples (m, n0), and raise ``ValueError`` otherwise.
+or finite samples (m, n0), and raise ``ValueError`` otherwise.  A point is
+checked once, when it is walked; a call at the kept point compares its
+shape and float64 bytes only.  The kept maps are read-only, and the maps
+handed out are views of them, not copies.
 """
 
 from __future__ import annotations
@@ -54,30 +57,35 @@ def _checked_point(net: Network, x, name: str = "x") -> np.ndarray:
 _last: tuple | None = None
 
 
-def _layer_maps(net: Network, x: np.ndarray) -> tuple:
-    """Per layer at a checked point x: pre-activations, states, activations
-    and the map (A, c) from the input to those activations.  Only the last
-    point's result is kept; another net object or other bytes of x miss."""
+def _layer_maps(net: Network, x) -> tuple:
+    """Per layer at the point x: pre-activations, states, activations and
+    the read-only map (A, c) from the input to those activations.  Only the
+    last point's result is kept; another net object, another shape or other
+    float64 bytes of x miss, and x is checked (``_checked_point``) only
+    then: the kept point was finite when it was walked."""
     global _last
-    key = x.tobytes()
+    x = np.asarray(x, float)
     last = _last
-    if last is not None and last[0] is net and last[1] == key:
+    if (last is not None and last[0] is net and x.shape == (net.input_dim,)
+            and last[1] == x.tobytes()):
         return last[2]
+    x = _checked_point(net, x)
     A = np.eye(net.input_dim)
     c = np.zeros(net.input_dim)
     layers = []
     for layer, (z, s, h) in zip(net.layers, _walk(net, x)):
         A, c = _layer_step(layer, s, A, c)
+        A.flags.writeable = c.flags.writeable = False
         layers.append((z, s, h, A, c))
     layers = tuple(layers)
-    _last = (net, key, layers)
+    _last = (net, x.tobytes(), layers)
     return layers
 
 
 def unit_activation(net: Network, layer: int, unit: int, x) -> float:
     """Post-nonlinearity output of one unit at x."""
     _check_unit(net, layer, unit)
-    return float(_layer_maps(net, _checked_point(net, x))[layer][2][unit])
+    return float(_layer_maps(net, x)[layer][2][unit])
 
 
 def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
@@ -87,31 +95,34 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
     inactive rectifier therefore yields the zero map, and a maxout unit
     the map of its argmax branch.  x's walk composes with the layer step
     that the enumerator steps Region.affine with, so the row agrees
-    exactly with the corresponding row of the map of x's region.
+    exactly with the corresponding row of the map of x's region.  The
+    map's arrays are read-only views of that row of x's kept walk; a later
+    walk makes new arrays and leaves them as they are.
     """
     _check_unit(net, layer, unit)
-    _, _, _, A, c = _layer_maps(net, _checked_point(net, x))[layer]
-    return AffineMap(A[unit:unit + 1].copy(), c[unit:unit + 1].copy())
+    _, _, _, A, c = _layer_maps(net, x)[layer]
+    return AffineMap(A[unit:unit + 1], c[unit:unit + 1])
 
 
 def region_map(net: Network, x, readout: AffineMap | None = None) -> tuple[tuple, AffineMap]:
     """x's activation pattern, and the map of x's region from the input to
     the last layer, after ``readout`` if one is given; read from x's walk."""
-    layers = _layer_maps(net, _checked_point(net, x))
-    full = AffineMap(*layers[-1][3:])
+    layers = _layer_maps(net, x)
+    _, _, _, A, c = layers[-1]
+    full = AffineMap(A[:], c[:])  # views, which cannot be made writeable
     return _pattern(layers), full if readout is None else readout.compose(full)
 
 
-def _pattern(layers: tuple) -> tuple:
-    """The activation pattern of a point's layer maps."""
-    return tuple(tuple(s.tolist()) for _, s, _, _, _ in layers)
+def _pattern(steps) -> tuple:
+    """The activation pattern of a point's walk steps or layer maps."""
+    return tuple(tuple(step[1].tolist()) for step in steps)
 
 
 def _value_map(full: AffineMap, unit: int, readout: AffineMap | None) -> AffineMap:
-    """Row ``unit`` of ``full``, after ``readout`` if one is given."""
+    """Row ``unit`` of ``full``, after ``readout`` if one is given, as views."""
     if readout is not None:
         full = readout.compose(full)
-    return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
+    return AffineMap(full.matrix[unit:unit + 1], full.offset[unit:unit + 1])
 
 
 def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarray:
@@ -161,10 +172,10 @@ def boundary_clearance(net: Network, x) -> float:
 
     Reads x's kept layer maps: the pre-activations, the states and the
     linear part below each layer."""
-    below = np.eye(net.input_dim)  # linear part of input -> the layer below, on x's region
+    below = None  # linear part of input -> the layer below, on x's region; None: identity
     best = np.inf
-    for layer, (z, s, _, A, _) in zip(net.layers, _layer_maps(net, _checked_point(net, x))):
-        G = layer.weights @ below  # input-space rows
+    for layer, (z, s, _, A, _) in zip(net.layers, _layer_maps(net, x)):
+        G = layer.weights if below is None else layer.weights @ below  # input-space rows
         below = A
         k = layer.activation.rank
         if k > 1:
@@ -172,7 +183,7 @@ def boundary_clearance(net: Network, x) -> float:
             pick = np.arange(layer.width) * k + s
             z = np.repeat(z[pick], k) - z
             G = np.repeat(G[pick], k, axis=0) - G
-        norms = np.linalg.norm(G, axis=1)
+        norms = np.sqrt(np.add.reduce(G * G, axis=1))  # np.linalg.norm's sum for real G
         keep = norms > 1e-12
         if keep.any():
             best = min(best, float(np.min(np.abs(z[keep]) / norms[keep])))
@@ -263,16 +274,18 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
 
     _check_unit(net, layer, unit, readout)
 
-    def tracked(x):
-        """The tracked value at x, x's pattern and the value's (A, c) there."""
-        layers = _layer_maps(net, x)
-        _, _, h, A, c = layers[layer if readout is None else -1]
-        return float(h[unit] if readout is None else readout(h)[unit]), _pattern(layers), A, c
+    at = layer if readout is None else -1  # the layer the tracked value reads
 
-    (a1, p1, *f1), (a2, p2, *f2) = tracked(x1), tracked(x2)
+    def tracked(steps):
+        """The tracked value and the pattern of a point's walk steps."""
+        h = steps[at][2]
+        return float(h[unit] if readout is None else readout(h)[unit]), _pattern(steps)
+
+    l1, l2 = _layer_maps(net, x1), _layer_maps(net, x2)
+    (a1, p1), (a2, p2) = tracked(l1), tracked(l2)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("unit must be active (positive value) at both points")
-    m1, m2 = (_value_map(AffineMap(*f), unit, readout) for f in (f1, f2))
+    m1, m2 = (_value_map(AffineMap(*layers[at][3:]), unit, readout) for layers in (l1, l2))
     if p1 == p2:
         return IdentifiedPair(x2.copy(), m1, m2, True)
 
@@ -281,7 +294,8 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     if gnorm2 < 1e-24:
         raise IdentificationError("value gradient vanishes at the second point")
     adjusted = x2 + ((a1 - a2) / gnorm2) * g
-    a3, p3, *_ = tracked(adjusted)
+    # only its value and pattern are read: a plain walk, no map composed
+    a3, p3 = tracked(list(_walk(net, adjusted)))
     if p3 != p2:
         raise IdentificationError(
             "no identified pair along this ray: the region boundary is crossed first"

@@ -61,8 +61,13 @@ def maxout(rank: int) -> Activation:
     return Activation(rank)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+def _freeze(a, ndim: int) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float64 array of at least ``ndim``
+    (1 or 2) dimensions, missing leading ones added as ``np.atleast_1d`` and
+    ``np.atleast_2d`` add them.  An array that already is one is not copied."""
+    a = np.asarray(a, float, order="C")
+    if a.ndim < ndim:
+        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
     a.flags.writeable = False
     return a
 
@@ -76,8 +81,8 @@ class Layer:
     activation: Activation = ACT_RECTIFIER
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _freeze(np.atleast_2d(self.weights)))
-        object.__setattr__(self, "bias", _freeze(np.atleast_1d(self.bias)))
+        object.__setattr__(self, "weights", _freeze(self.weights, 2))
+        object.__setattr__(self, "bias", _freeze(self.bias, 1))
         rows = self.weights.shape[0]
         k = self.activation.rank
         if rows == 0 or rows % k != 0:
@@ -258,8 +263,8 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.atleast_2d(self.matrix)))
-        object.__setattr__(self, "offset", _freeze(np.atleast_1d(self.offset)))
+        object.__setattr__(self, "matrix", _freeze(self.matrix, 2))
+        object.__setattr__(self, "offset", _freeze(self.offset, 1))
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ValueError("matrix/offset shape mismatch")
 
@@ -407,6 +412,16 @@ def network_from_dict(doc) -> Network:
     return Network(n0, tuple(layers))
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer literal; one with more digits than ``int`` converts
+    (``sys.get_int_max_str_digits``) becomes a float, +-inf, so that the
+    field it sits in refuses it by name."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_network(fp: IO[str] | str) -> Network:
     """Parse a network file, raising NetworkFormatError with field context."""
     if isinstance(fp, str):
@@ -415,7 +430,7 @@ def load_network(fp: IO[str] | str) -> Network:
     else:
         text = fp.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise NetworkFormatError(f"not valid JSON: {e}") from e
     return network_from_dict(doc)

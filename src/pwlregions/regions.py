@@ -537,13 +537,16 @@ def count_regions(net: Network, cfg: FeasibilityConfig | None = None) -> int:
 # into the observed pattern count.
 _GRID_OFFSET = (5.0 ** 0.5 - 1.0) / 2.0
 
-# Grid points walked per batch, few enough that a block's arrays stay in
-# cache: the oracle on a 2-d net of two 8-wide rectifier layers peaks near
-# 2.5 MB at any resolution.
-_GRID_BLOCK = 1 << 13
+# Floats in one array of a block (128 KB): a block holds this many over the
+# rows of the widest layer (or the input) points.  In a fresh process such
+# arrays come from glibc's heap, which the next block reuses; fixed blocks
+# of 8,192 points were mapped afresh and returned at every block, which cost
+# 9,360 minor page faults per 400x400 grid on a 2-d (8,8) net and half the
+# speed.  What glibc keeps also depends on what the process freed before.
+_GRID_BLOCK_VALUES = 1 << 14
 
 # Most grid points the oracle walks: on one core of a 2-core Xeon host, a
-# 2-d net of two 4-wide rectifier layers takes about 2.5 s for 2.5 * 10**7.
+# 2-d net of two 4-wide rectifier layers takes about 1.0 s for 2.5 * 10**7.
 _GRID_LIMIT = 10**8
 
 
@@ -557,9 +560,10 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
     once the grid is fine enough that every cell catches a point.  Only
     implemented for 1 or 2 input dimensions.
 
-    The grid is walked ``_GRID_BLOCK`` points at a time, each point's
-    coordinates computed from its indices, so memory does not grow with
-    the resolution.  Time does, so grids of more than ``_GRID_LIMIT``
+    The grid is walked in blocks, each point's coordinates computed from
+    its indices, and a block's per-layer arrays hold at most
+    ``_GRID_BLOCK_VALUES`` floats, so memory does not grow with the
+    resolution.  Time does, so grids of more than ``_GRID_LIMIT``
     points are refused.  A pattern row is one integer of one dtype per
     unit (see ``network._walk``), so two rows are the same pattern exactly
     when their bytes are equal: each block's rows, less every row equal to
@@ -577,10 +581,12 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
         raise ValueError(f"grid of {total} points exceeds the oracle's limit of "
                          f"{_GRID_LIMIT} points; use a coarser grid")
     shape = (resolution,) * net.input_dim
-    seen = []
-    for start in range(0, total, _GRID_BLOCK):
+    widest = max(net.input_dim, *(layer.weights.shape[0] for layer in net.layers))
+    block = max(1, _GRID_BLOCK_VALUES // widest)
+    seen, pending = [], 0  # distinct rows per block; rows added since the last fold
+    for start in range(0, total, block):
         # point i has indices (i // resolution, i % resolution)
-        index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, total)), shape)
+        index = np.unravel_index(np.arange(start, min(start + block, total)), shape)
         X = np.column_stack([lo + (hi - lo) / resolution * (i + _GRID_OFFSET)
                              for (lo, hi), i in zip(box, index)])
         P = pattern_matrix(net, X)
@@ -592,6 +598,11 @@ def oracle_count_by_grid(net: Network, box: Box, resolution: int) -> int:
         pats = np.ascontiguousarray(P[new])
         row = np.dtype((np.void, pats.shape[1] * pats.itemsize))
         seen.append(np.unique(pats.view(row).ravel()))
+        pending += len(seen[-1])
+        if pending > block + len(seen[0]):
+            # fold the blocks' rows into one distinct set that stays near a
+            # block's size; the folds sort about twice the rows added
+            seen, pending = [np.unique(np.concatenate(seen))], 0
     return int(np.unique(np.concatenate(seen)).shape[0])
 
 

@@ -80,10 +80,11 @@ def test_enumerate_exit_codes(abs_path, tmp_path, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN"],
-                         ids=["10**400", "1e400", "nan"])
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN", "1" * 5001],
+                         ids=["10**400", "1e400", "nan", "5001-digits"])
 def test_a_number_a_float_cannot_hold_is_a_bad_network_file(tmp_path, number, capsys):
-    # an integer beyond the float range used to exit 1 with an OverflowError
+    # an integer beyond the float range used to exit 1 with an OverflowError,
+    # and one beyond int's 4300-digit limit to print that limit's ValueError
     bad = tmp_path / "bad.json"
     bad.write_text('{"input_dim": 1, "layers": [{"activation": "rectifier", '
                    f'"width": 1, "weights": [[{number}]], "bias": [0]}}]}}')

@@ -245,8 +245,9 @@ def test_format_errors(mangle):
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
-                                    "-" + "9" * 320],
-                         ids=["nan", "inf", "-inf", "1e400", "10**400", "-(10**320-1)"])
+                                    "-" + "9" * 320, "1" + "0" * 5000, "-" + "9" * 5001],
+                         ids=["nan", "inf", "-inf", "1e400", "10**400", "-(10**320-1)",
+                              "10**5000", "-(10**5001-1)"])
 @pytest.mark.parametrize("field, where", [
     ('"weights": [[0.5, %s]], "bias": [0]', "layer 0: weights row 0: entry 1"),
     ('"weights": [[0.5, 1]], "bias": [%s]', "layer 0: bias: entry 0"),
@@ -257,6 +258,53 @@ def test_numbers_a_float_cannot_hold_name_their_field(number, field, where):
     with pytest.raises(NetworkFormatError) as exc:
         load_network(io.StringIO(text))
     assert str(exc.value) == f"{where} is not a finite float"
+
+
+FREEZE_INPUTS = {
+    "float32": (np.arange(6, dtype=np.float32).reshape(2, 3) / 3, np.float32([0.5, -1.5])),
+    "non-contiguous": (np.arange(24.0).reshape(4, 6)[::2, ::3], np.arange(6.0)[::3]),
+    "fortran": (np.asfortranarray(np.arange(6.0).reshape(2, 3) - 2.5), np.array([1.0, 2.0])),
+    "scalar": (np.float64(2.5), 0.5),
+    "zero-d-array": (np.array(-1.25), np.array(3.0)),
+    "one-row": (np.array([0.5, -0.5]), np.array([1.0])),
+    "int-lists": ([[1, 2], [3, 4]], [5, 6]),
+}
+
+
+@pytest.mark.parametrize("matrix, offset", FREEZE_INPUTS.values(), ids=FREEZE_INPUTS.keys())
+def test_frozen_arrays_are_read_only_c_contiguous_float64(matrix, offset):
+    # the earlier freeze: atleast_2d / atleast_1d, then asarray and ascontiguousarray
+    want = (np.ascontiguousarray(np.asarray(np.atleast_2d(matrix), float)),
+            np.ascontiguousarray(np.asarray(np.atleast_1d(offset), float)))
+    m, layer = AffineMap(matrix, offset), Layer(matrix, offset)
+    for got in ((m.matrix, m.offset), (layer.weights, layer.bias)):
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == w.shape
+            assert g.flags.c_contiguous and not g.flags.writeable
+            assert g.tobytes() == w.tobytes()
+
+
+def test_a_frozen_float64_c_array_is_not_copied():
+    matrix, offset = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0])
+    m = AffineMap(matrix, offset)
+    assert m.matrix is matrix and m.offset is offset
+    assert not matrix.flags.writeable
+
+
+@pytest.mark.parametrize("field, where, what", [
+    ('"input_dim": %s, "layers": [{"activation": "rectifier", "width": 1, '
+     '"weights": [[1]], "bias": [0]}]', "input_dim", "expected a positive integer"),
+    ('"input_dim": 1, "layers": [{"activation": "rectifier", "width": %s, '
+     '"weights": [[1]], "bias": [0]}]', "layer 0", "width must be a positive integer"),
+    ('"input_dim": 1, "layers": [{"activation": "maxout", "rank": %s, "width": 1, '
+     '"weights": [[1], [1]], "bias": [0, 0]}]', "layer 0", "rank must be an integer >= 2"),
+], ids=["input_dim", "width", "rank"])
+def test_integers_beyond_the_digit_limit_name_their_field(field, where, what):
+    # json.loads alone raises a plain ValueError for more than 4300 digits
+    text = "{" + field % ("1" + "0" * 5000) + "}"
+    with pytest.raises(NetworkFormatError) as exc:
+        load_network(io.StringIO(text))
+    assert str(exc.value) == f"{where}: {what}"
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,8 @@
 are bit for bit those of the earlier functions that walked it up to three
 times and composed every layer's map from the input again."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -117,15 +119,50 @@ def test_every_unit_map_and_activation_and_the_clearance_cost_one_walk(walks):
     assert walks[0] == 1
 
 
-def test_unit_maps_compose_each_layer_once(monkeypatch):
-    steps = [0]
+@pytest.fixture()
+def steps(monkeypatch):
+    """Count the layer steps of the probe walk."""
+    count = [0]
     inner = network._layer_step
 
     def counted(*args, **kwargs):
-        steps[0] += 1
+        count[0] += 1
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(linmap, "_layer_step", counted)
+    return count
+
+
+def _adjusted_pairs(net, layer, readout):
+    """Point pairs in two regions whose second point the pair probe adjusts."""
+    rng = np.random.default_rng(11)
+    while True:
+        x1, x2 = rng.uniform(-2.0, 2.0, size=(2, net.input_dim))
+        want = _outcome(ref_find_identified_pair, net, layer, 0, x1, x2, readout=readout)
+        if isinstance(want, IdentifiedPair) and not want.same_region:
+            yield x1, x2, want
+
+
+@pytest.mark.parametrize("name", ["abs", "rectifier", "maxout3"])
+def test_identified_pair_composes_no_map_for_the_adjusted_point(steps, name):
+    if name == "abs":
+        con = build_abs_net()
+        net, layer, readout = con.network, 0, con.readout
+    else:
+        net = _random_net(np.random.default_rng(12), ACTS[name], (3, 3, 2))
+        layer, readout = 1, None
+    for x1, x2, want in itertools.islice(_adjusted_pairs(net, layer, readout), 5):
+        steps[0] = 0
+        got = find_identified_pair(net, layer, 0, x1, x2, readout=readout)
+        assert steps[0] == 2 * net.depth  # x1 and x2; was 3 * depth
+        assert not got.same_region
+        assert got.point.tobytes() == want.point.tobytes()
+        for g, w in ((got.map1, want.map1), (got.map2, want.map2)):
+            assert (g.matrix.tobytes(), g.offset.tobytes()) == \
+                (w.matrix.tobytes(), w.offset.tobytes())
+
+
+def test_unit_maps_compose_each_layer_once(steps):
     net = _random_net(np.random.default_rng(3), ACT_RECTIFIER, (8, 8))
     x = np.array([1.2, -0.3])
     for layer in range(net.depth):
@@ -136,6 +173,52 @@ def test_unit_maps_compose_each_layer_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the kept layer maps of the last point
+
+def test_the_kept_points_bytes_in_another_shape_are_refused_after_a_hit(walks):
+    net = _random_net(np.random.default_rng(8), ACT_RECTIFIER, (3, 3))
+    x = np.array([0.3, -0.6])
+    unit_linear_map(net, 0, 0, x)
+    unit_linear_map(net, 0, 1, x)  # a hit
+    assert walks[0] == 1
+    for call in (lambda y: unit_linear_map(net, 0, 0, y), lambda y: unit_activation(net, 0, 0, y),
+                 lambda y: boundary_clearance(net, y), lambda y: region_map(net, y)):
+        with pytest.raises(ValueError, match=r"x must be a finite point of shape \(2,\), "
+                                             r"got shape \(1, 2\)"):
+            call(x.reshape(1, 2))
+    assert walks[0] == 1
+
+
+def test_an_integer_list_equal_to_the_kept_point_hits(walks):
+    net = _random_net(np.random.default_rng(9), maxout(2), (3, 2))
+    x = np.array([2.0, -1.0])
+    want = _reference_results(net, x)
+    walks[0] = 0
+    assert _all_unit_results(net, x) == want
+    assert _all_unit_results(net, [2, -1]) == want
+    assert _all_unit_results(net, np.array([2, -1], np.float32)) == want
+    assert walks[0] == 1
+
+
+def test_maps_are_read_only_views_that_outlive_the_next_walk():
+    net = _random_net(np.random.default_rng(10), ACT_RECTIFIER, (3, 3, 3))
+    x, y = np.array([0.5, 0.1]), np.array([-0.4, 0.8])
+    maps = [unit_linear_map(net, 1, unit, x) for unit in range(3)]
+    # rows of the kept map of layer 1, not copies, and that map is read-only
+    assert maps[0].matrix.base is maps[1].matrix.base is maps[2].matrix.base
+    maps.append(region_map(net, x)[1])
+    for m in maps:
+        for a in (m.matrix, m.offset):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    before = [(m.matrix.tobytes(), m.offset.tobytes()) for m in maps]
+    unit_linear_map(net, 1, 0, y)  # walks y, and replaces x's entry
+    assert [(m.matrix.tobytes(), m.offset.tobytes()) for m in maps] == before
+    assert all(_same_map(m, ref_unit_linear_map(net, 1, unit, x))
+               for unit, m in enumerate(maps[:3]))
+    assert _same_map(maps[3], ref_output_map(net, pattern_at(net, x)))
+
 
 def _all_unit_results(net, x):
     """Every unit's map and activation and the clearance at x, as bytes."""

@@ -883,7 +883,7 @@ def _oracle_reference(net, box, resolution):
 
 @pytest.mark.parametrize("n0, resolution", [
     (1, 400), (1, 65537),
-    # 2-d grids of 65025, 65536, 66049 and 160000 points: about 8 blocks of 8192
+    # 2-d grids of 65025, 65536, 66049 and 160000 points: 20 to 147 blocks of 1092-3276
     (2, 255), (2, 256), (2, 257), (2, 400),
 ])
 @pytest.mark.parametrize("rank", [1, 2, 3], ids=["rectifier", "maxout2", "maxout3"])
@@ -907,17 +907,28 @@ EDGE_CASES = [(n0, resolution, block) for n0 in (1, 2) for resolution in (97, 40
 @pytest.mark.parametrize("rank", [1, 3], ids=["rectifier", "maxout3"])
 def test_oracle_counts_rows_like_one_unique_across_block_edges(monkeypatch, rank, n0,
                                                                resolution, block):
-    if block:
-        monkeypatch.setattr(regions, "_GRID_BLOCK", block)
     net = _random_net([31, rank, n0], n0, (5, 4), rank)
+    sizes = []
+    inner = regions.pattern_matrix
+
+    def walked(net, X):
+        sizes.append(len(X))
+        return inner(net, X)
+
+    monkeypatch.setattr(regions, "pattern_matrix", walked)
+    if block:  # the widest layer has 5 * rank rows
+        monkeypatch.setattr(regions, "_GRID_BLOCK_VALUES", block * 5 * rank)
     box = ((-3.0, 3.0),) * n0
     count = oracle_count_by_grid(net, box, resolution)
     assert count == _oracle_reference(net, box, resolution)
     assert count > 5
+    want = block or regions._GRID_BLOCK_VALUES // (5 * rank)
+    assert set(sizes[:-1]) <= {want} and 0 < sizes[-1] <= want
+    assert sum(sizes) == resolution ** n0
 
 
 def test_oracle_memory_does_not_grow_with_resolution():
-    # one batch of the 10^6 points peaks at ~280 MB; a block stays near 2.5 MB
+    # one batch of the 10^6 points peaks at ~280 MB; a block stays near 0.8 MB
     net = _random_net(29, 2, (8, 8))
     tracemalloc.start()
     try:
