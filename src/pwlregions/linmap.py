@@ -70,12 +70,10 @@ def _layer_maps(net: Network, x) -> tuple:
             and last[1] == x.tobytes()):
         return last[2]
     x = _checked_point(net, x)
-    A = np.eye(net.input_dim)
-    c = np.zeros(net.input_dim)
+    A, c = np.eye(net.input_dim), np.zeros(net.input_dim)
     layers = []
     for layer, (z, s, h) in zip(net.layers, _walk(net, x)):
-        A, c = _layer_step(layer, s, A, c)
-        A.flags.writeable = c.flags.writeable = False
+        A, c = _layer_step(layer, s, A, c)  # read-only
         layers.append((z, s, h, A, c))
     layers = tuple(layers)
     _last = (net, x.tobytes(), layers)

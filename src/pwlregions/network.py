@@ -63,13 +63,15 @@ def maxout(rank: int) -> Activation:
 
 def _freeze(a, ndim: int) -> np.ndarray:
     """``a`` as a read-only C-contiguous float64 array of at least ``ndim``
-    (1 or 2) dimensions, missing leading ones added as ``np.atleast_1d`` and
-    ``np.atleast_2d`` add them.  An array that already is one is not copied."""
-    a = np.asarray(a, float, order="C")
-    if a.ndim < ndim:
-        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
-    a.flags.writeable = False
-    return a
+    (1 or 2) dimensions, leading ones added as ``np.atleast_2d`` adds them.
+    A read-only one is used as it is; the caller's writeable one is copied."""
+    f = np.asarray(a, float, order="C")
+    if f.flags.writeable:  # only then: setting the flag costs more than the test
+        f = f.copy() if f is a or not f.flags.owndata else f
+        f.flags.writeable = False
+    if f.ndim < ndim:  # a view of a read-only array is read-only
+        f = f.reshape((1,) * (ndim - f.ndim) + f.shape)
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +197,11 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
     by the tie rules in the module docstring.
     A batch of many points goes through matrix-matrix products, whose
     rounding can differ from one point's in the last bits; callers that
-    print per-point values walk point by point.  Three callers walk batches:
+    print per-point values walk point by point.  Four callers walk batches:
 
-    - ``pattern_matrix``, for the grid oracle, which prints only a count
-      of distinct patterns.  Its rows are checked against ``pattern_at``
-      in the tests, tie cases included, and its counts against the
-      enumerator's.
+    - ``pattern_matrix``, for the grid oracle, which prints only a count of
+      distinct patterns.  The tests check its rows against ``pattern_at``,
+      tie cases included, and its counts against the enumerator's.
     - ``linmap.output_values`` on a batch, for the certificate of
       ``build_rank2_maxout_as_rectifier``, whose weights are chosen so
       that batch and point walks round alike (see the comment there);
@@ -212,6 +213,9 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
       differences could flip it only for a counterpart within rounding of
       a region boundary, or an output within rounding of the 1e-8
       tolerance; the tests check it against a point loop.
+    - the drift check of ``regions.enumerate_regions``, bound
+      ``1e-9*max(1, scale)``: last-bit rounding can change its verdict only
+      for a drift within rounding of that bound.
     """
     H = np.asarray(X, dtype=float).T
     points = H.shape[1:]    # () for one point, (n,) for a batch
@@ -273,21 +277,29 @@ class AffineMap:
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner: x -> self(inner(x))."""
-        return AffineMap(self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset)
+        A, c = self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset
+        A.flags.writeable = c.flags.writeable = False  # made here: no copy
+        return AffineMap(A, c)
 
 
-def layer_selection(layer: Layer, layer_pattern: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def layer_selection(layer: Layer, layer_pattern) -> tuple[np.ndarray, np.ndarray]:
     """Effective (W, b) of one layer once its pattern is fixed.
 
     Inactive rectifier rows become zero rows; maxout keeps the selected
-    branch row per unit.
-    """
+    branch row per unit.  A stack of patterns, an (m, width) array, gives m
+    stacked selections; it raises as its first bad pattern does alone."""
     k = layer.activation.rank
-    if len(layer_pattern) != layer.width:
+    stack = isinstance(layer_pattern, np.ndarray) and layer_pattern.ndim == 2
+    if (layer_pattern.shape[1] if stack else len(layer_pattern)) != layer.width:
         raise ValueError("pattern length does not match layer width")
     if k == 1:
-        sel = np.asarray(layer_pattern, dtype=float)[:, None]
-        return layer.weights * sel, layer.bias * sel[:, 0]
+        sel = np.asarray(layer_pattern, dtype=float)[..., None]
+        return layer.weights * sel, layer.bias * sel[..., 0]
+    if stack:
+        for bad in layer_pattern[((layer_pattern < 0) | (layer_pattern >= k)).any(axis=1)][:1]:
+            layer_selection(layer, bad)  # raises
+        rows = np.arange(layer.width) * k + layer_pattern
+        return layer.weights[rows], layer.bias[rows]
     rows = [j * k + int(t) for j, t in enumerate(layer_pattern)]
     for j, t in enumerate(layer_pattern):
         if not 0 <= int(t) < k:
@@ -295,16 +307,19 @@ def layer_selection(layer: Layer, layer_pattern: Sequence[int]) -> tuple[np.ndar
     return layer.weights[rows], layer.bias[rows]
 
 
-def _layer_step(layer: Layer, layer_pattern: Sequence[int],
+def _layer_step(layer: Layer, layer_pattern,
                 A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The map x -> A x + c carried through one more layer whose pattern
-    is fixed: ``(W A, W c + b)`` with ``(W, b)`` the layer's selection.
-    This is the one composition rule: ``pattern_affine``, the probe walk of
-    ``linmap`` (every map it reads at one point) and the enumerator, which
-    steps each cell's map once per layer, all compose with it, so their
-    maps agree bit for bit."""
+    is fixed: ``(W A, W c + b)``, read-only, with ``(W, b)`` the layer's
+    selection.  This is the one composition rule: ``pattern_affine``, the
+    probe walk of ``linmap`` and the enumerator, which steps a cell's
+    children on the stack of their patterns, compose with it, so their maps
+    agree bit for bit: numpy's matmul runs each item of a stack as it runs
+    the lone product."""
     W, b = layer_selection(layer, layer_pattern)
-    return W @ A, W @ c + b
+    A, c = W @ A, W @ c + b
+    A.flags.writeable = c.flags.writeable = False
+    return A, c
 
 
 def pattern_affine(net: Network, pattern: ActivationPattern) -> AffineMap:

@@ -5,8 +5,10 @@ polyhedron of the input box, carried as strict inequalities
 ``normal . x < offset`` (rows unit-normalized), together with the
 activation pattern that produced it, its vertices, and an interior witness
 point.  Each live cell carries the map ``(A, c)`` into the current layer's
-inputs, from which the units' rows are built; one ``network._layer_step``
-per cell and layer gives each child its map, and each region its own.
+inputs.  Per cell and layer, one stacked product builds every unit's rows
+from it, and one ``network._layer_step`` on the stack of its children's
+patterns gives each child its map, bit for bit as a lone step would.  One
+batch checks every region's map against the forward pass.
 
 Each rectifier unit folds back to a single input-space hyperplane per
 region; each rank-k maxout unit yields k candidate children, one per
@@ -47,6 +49,7 @@ the box on which exactness holds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -160,7 +163,7 @@ def _lowest(v) -> tuple[int, ...]:
     return tuple(c // g for c in v)
 
 
-def _exact_hull(normals, offsets) -> list[tuple[int, ...]] | None:
+def _exact_hull(normals, offsets) -> list | tuple | None:
     """The exact vertices behind ``exact_strictly_feasible``, or None when
     a row leaves no full-dimensional polytope.  A vertex is a tuple (X, w)
     of integers with gcd 1 and w > 0, the point X / w; its slack on a row
@@ -169,13 +172,11 @@ def _exact_hull(normals, offsets) -> list[tuple[int, ...]] | None:
     (slacks S_i > 0 > S_j), reduced by its gcd."""
     normals, offsets = np.atleast_2d(normals), np.atleast_1d(offsets)
     n0 = normals.shape[1]
-    box = tuple(zip(-offsets[1:2 * n0:2], offsets[:2 * n0:2]))
-    root = _root_cell(box)
-    if not (np.array_equal(normals[:2 * n0], root.normals)
+    box = tuple(zip((-offsets[1:2 * n0:2]).tolist(), offsets[:2 * n0:2].tolist()))
+    box_rows, V, tight = _box_corners(box)
+    if not (np.array_equal(normals[:2 * n0], box_rows)
             and all(lo < hi for lo, hi in box)):
         raise ValueError("rows 0..2*n0-1 must be the rows of a box")
-    V = [_lowest(_homogeneous(corner + [1.0])) for corner in root.vertices.tolist()]
-    tight = root.tight
     rows = (-normals[2 * n0:]).tolist()
     for r, (row, off) in enumerate(zip(rows, offsets[2 * n0:].tolist()), 2 * n0):
         h = _homogeneous(row + [off])
@@ -189,6 +190,14 @@ def _exact_hull(normals, offsets) -> list[tuple[int, ...]] | None:
             V = [V[i] for i in kept] + [
                 _lowest([S[i] * q - S[j] * p for p, q in zip(V[i], V[j])]) for i, j in edges]
     return V
+
+
+@functools.lru_cache(maxsize=64)
+def _box_corners(box: Box) -> tuple:
+    """The rows, exact corners and masks of ``_root_cell(box)``, as tuples."""
+    root = _root_cell(box)
+    V = tuple(_lowest(_homogeneous(c + [1.0])) for c in root.vertices.tolist())
+    return tuple(map(tuple, np.array(root.normals).tolist())), V, tuple(root.tight)
 
 
 def exact_strictly_feasible(normals, offsets) -> tuple[bool, list | None]:
@@ -254,6 +263,7 @@ class _Cell:
     # bit, so a clip that drops no vertex hands the parent's vertices
     # and masks to the child unchanged.
     tight: list[int] | None
+    tol: float | None  # ``_plane_tol`` of the vertices, taken where they are made
 
 
 # A vertex within this distance of a cutting plane, relative to the largest
@@ -276,7 +286,7 @@ def _root_cell(box: Box) -> _Cell:
     # in the order of the corners: lo sets bit 2i+1, hi bit 2i
     tight = [sum(bits) for bits in itertools.product(*((2 << 2 * i, 1 << 2 * i)
                                                        for i in range(n0)))]
-    return _Cell(normals, offsets, [], V.mean(axis=0), V, tight)
+    return _Cell(normals, offsets, [], V.mean(axis=0), V, tight, _plane_tol(V))
 
 
 def _plane_tol(V) -> float:
@@ -325,19 +335,20 @@ def _clip(V, tight, s, r, tol):
     slack ``off - V @ row`` of the vertices, some of them more than ``tol``
     inside the plane and some more than ``tol`` beyond it.
 
-    Returns the child's (vertices, tight), both None when the cut leaves no
-    full-dimensional polytope.  A new vertex is interpolated along its
+    Returns the child's (vertices, tight, tol), all None when the cut leaves
+    no full-dimensional polytope.  A new vertex is interpolated along its
     edge; a vertex within ``tol`` of the plane lies on it."""
     n = V.shape[1]
     slack, pts = s.tolist(), V.tolist()
     kept, edges, masks = _cut(slack, tight, n, 1 << r, tol)
     if len(kept) + len(edges) <= n:
-        return None, None
+        return None, None, None
     out = [pts[i] for i in kept]
     for i, j in edges:
         lam = slack[i] / (slack[i] - slack[j])
         out.append([a + lam * (b - a) for a, b in zip(pts[i], pts[j])])
-    return np.array(out), masks
+    out = np.array(out)
+    return out, masks, _plane_tol(out)
 
 
 def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
@@ -354,7 +365,7 @@ def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
     parent's vertices, masks and witness.  ``_feasible_child`` decides the
     rest, on the child's rows, which are built once, here.
     """
-    V, tight = cell.vertices, cell.tight
+    V, tight, tol = cell.vertices, cell.tight, cell.tol
     cleared = 0  # rows that every vertex clears by more than 10*FEAS_TOL
     for j, (row, off) in enumerate(new_rows):
         if V is None:
@@ -364,11 +375,10 @@ def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
         lo, hi = min(sl), max(sl)  # on a few floats, faster than numpy
         if hi < -10 * FEAS_TOL:
             return None
-        tol = _plane_tol(V)
         if hi <= tol:
-            V = tight = None
+            V = tight = tol = None
         elif lo < -tol:
-            V, tight = _clip(V, tight, s, len(cell.offsets) + j, tol)
+            V, tight, tol = _clip(V, tight, s, len(cell.offsets) + j, tol)
         else:
             cleared += lo > 10 * FEAS_TOL
     normals = cell.normals + [r for r, _ in new_rows]
@@ -379,7 +389,7 @@ def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
         np.array(normals), np.array(offsets), V, cell.witness, cfg)
     if witness is None:
         return None
-    return _Cell(normals, offsets, cell.pattern + [state], witness, V, tight)
+    return _Cell(normals, offsets, cell.pattern + [state], witness, V, tight, tol)
 
 
 def _norm(v) -> float:
@@ -431,19 +441,20 @@ def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,
     """Push one cell, where the layer's inputs are ``A x + c0``, through
     every unit of layer ``index``.  ``held`` live cells lie outside this
     one; with them, every child created counts against ``cfg.region_cap``.
-    Returns each child with its map, one ``_layer_step`` of ``(A, c0)``."""
+    Returns each child with its map: item i of one ``_layer_step`` of
+    ``(A, c0)`` on the stack of the children's patterns.  Unit j's rows are
+    item j of one stacked product; numpy's matmul runs each item of a stack
+    as it runs the lone product, so stacking changes no bit."""
     cells = [cell]
     layer = net.layers[index]
     k = layer.activation.rank
-    W, b = layer.weights, layer.bias
+    # one map holds on every cell here: unit j's rows and offsets are G[j], D[j]
+    W = layer.weights.reshape(layer.width, k, -1)
+    G, D = W @ A, W @ c0 + layer.bias.reshape(layer.width, k)
     fixed = len(cell.pattern)  # layers whose states are tuples already
     for j in range(layer.width):
-        # every cell here lies in cell, where the layer's inputs follow one map
-        if k == 1:
-            children = list(_rectifier_children(W[j] @ A, float(W[j] @ c0 + b[j])))
-        else:
-            rows = slice(j * k, (j + 1) * k)
-            children = list(_maxout_children(W[rows] @ A, W[rows] @ c0 + b[rows]))
+        children = list(_rectifier_children(G[j, 0], float(D[j, 0])) if k == 1
+                        else _maxout_children(G[j], D[j]))
         nxt = []
         for i, c in enumerate(cells):
             for state, new_rows in children:
@@ -469,7 +480,8 @@ def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,
             )
     for c in cells:  # fix the layer's pattern; every cell here is new
         c.pattern = c.pattern[:fixed] + [tuple(c.pattern[fixed:])]
-    return [(c, *_layer_step(layer, c.pattern[-1], A, c0)) for c in cells]
+    As, Cs = _layer_step(layer, np.array([c.pattern[-1] for c in cells]), A, c0)
+    return list(zip(cells, As, Cs))
 
 
 def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> RegionSet:
@@ -494,29 +506,21 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
             raise EnumerationError(f"float overflow at layer {index}, "
                                    f"cell '{pattern_code(c.pattern)}'") from None
 
-    regions = []
-    for c, A, c0 in cells:
-        pattern, aff = tuple(c.pattern), network.AffineMap(A, c0)
-        # rounding in the composed map and in the forward pass both grow
-        # with the magnitude of the terms summed, so the bound scales with it
-        scale = (np.abs(aff.offset).max()
-                 + np.abs(aff.matrix).sum(axis=1).max() * np.abs(c.witness).max())
-        drift = float(np.abs(aff(c.witness) - forward(net, c.witness)[-1]).max())
-        if not drift <= 1e-9 * max(1.0, scale):     # a NaN drift fails too
-            raise EnumerationError(
-                f"affine map drifted ({drift:.2e}) on region {pattern_code(pattern)}"
-            )
-        regions.append(
-            Region(
-                normals=np.array(c.normals),
-                offsets=np.array(c.offsets),
-                pattern=pattern,
-                affine=aff,
-                witness=np.asarray(c.witness, float),
-                vertices=c.vertices,
-                tight=c.tight,
-            )
-        )
+    # each map against one batch forward pass at its witness; rounding in
+    # both grows with the magnitude of the terms summed, as the bound does
+    X = np.array([c.witness for c, _, _ in cells])
+    As, Cs = np.array([A for _, A, _ in cells]), np.array([c0 for _, _, c0 in cells])
+    scale = np.abs(Cs).max(axis=1) + np.abs(As).sum(axis=2).max(axis=1) * np.abs(X).max(axis=1)
+    drift = np.abs((As @ X[..., None])[..., 0] + Cs - forward(net, X)[-1].T).max(axis=1)
+    failed = ~(drift <= 1e-9 * np.maximum(1.0, scale))  # a NaN drift fails too
+    if failed.any():
+        i = int(failed.argmax())
+        raise EnumerationError(f"affine map drifted ({drift[i]:.2e}) "
+                               f"on region {pattern_code(cells[i][0].pattern)}")
+    regions = [Region(normals=np.array(c.normals), offsets=np.array(c.offsets),
+                      pattern=tuple(c.pattern), affine=network.AffineMap(A, c0),
+                      witness=np.asarray(c.witness, float), vertices=c.vertices, tight=c.tight)
+               for c, A, c0 in cells]
     regions.sort(key=lambda r: r.pattern)
     return RegionSet(tuple(regions), box)
 

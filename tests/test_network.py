@@ -284,11 +284,29 @@ def test_frozen_arrays_are_read_only_c_contiguous_float64(matrix, offset):
             assert g.tobytes() == w.tobytes()
 
 
-def test_a_frozen_float64_c_array_is_not_copied():
+def test_a_read_only_float64_c_array_is_not_copied():
     matrix, offset = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0])
-    m = AffineMap(matrix, offset)
+    matrix.flags.writeable = offset.flags.writeable = False
+    m, layer = AffineMap(matrix, offset), Layer(matrix, offset)
     assert m.matrix is matrix and m.offset is offset
-    assert not matrix.flags.writeable
+    assert layer.weights is matrix and layer.bias is offset
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["own", "view"])
+def test_a_writeable_array_is_copied_and_stays_writeable(view):
+    if view:  # C-contiguous float64 views of the caller's memory
+        base = np.arange(8.0).reshape(2, 4)
+        matrix, offset = base[:1], base[1, :1]
+    else:
+        matrix, offset = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0])
+    m, layer = AffineMap(matrix, offset), Layer(matrix, offset)
+    for frozen, a in ((m.matrix, matrix), (m.offset, offset),
+                      (layer.weights, matrix), (layer.bias, offset)):
+        assert not np.shares_memory(frozen, a) and not frozen.flags.writeable
+        assert frozen.tobytes() == a.tobytes()
+    before = m.matrix[0, 0], m.offset[0]
+    matrix[0, 0], offset[0] = 10.0, 20.0  # the caller's arrays stay writeable
+    assert (m.matrix[0, 0], m.offset[0]) == (layer.weights[0, 0], layer.bias[0]) == before
 
 
 @pytest.mark.parametrize("field, where, what", [

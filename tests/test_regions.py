@@ -4,8 +4,13 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +188,14 @@ GOLDEN_REPORTS = {
     "shi3-exact": (lambda: (build_shi_layer(3).network,
                             FeasibilityConfig(exact_rational=True)),
                    16, "99674b3f394c739d21a2bad982e5344d09716f1c81bae1581d39adf6f843aece"),
+    # recorded before the enumerator stacked its unit rows, children's
+    # steps and drift check
+    "maxout2-2-4-4": (lambda: (_random_net(5, 2, (4, 4), rank=2), BOX10),
+                      44, "d0e3e386124a5ae14b6b8769759dc2b8320e528991c6a720a4be9df79fca10b2"),
+    "rect-2-5-5-5": (lambda: (_random_net(6, 2, (5, 5, 5)), BOX10),
+                     96, "8cc121db90fbe2e749c10e86564d987d0444dd264ac69a196b8c0ed5577c6374"),
+    "maxout4-3-3-3": (lambda: (_random_net(7, 3, (3, 3), rank=4), BOX10),
+                      251, "b205668c6de935c12def02727ba35274365e85d8aa63b6838c9a1cc34bd46343"),
 }
 
 
@@ -334,27 +347,178 @@ def test_unit_rows_are_built_once_per_parent_cell(name, monkeypatch):
 @pytest.mark.parametrize("rank, width", [(1, 4), (2, 3), (3, 2)],
                          ids=["rectifier", "maxout2", "maxout3"])
 def test_one_layer_step_per_cell_and_layer(rank, width, depth, exact, monkeypatch):
-    """Each live cell carries its map, and each child's map is one
-    ``_layer_step`` of its parent's: one step per distinct pattern prefix,
-    and none composed from the input by ``pattern_affine``."""
-    steps = []
+    """Each live cell carries its map, and its children's maps are one
+    stacked ``_layer_step`` of it: one call per parent cell, whose stacks
+    hold one pattern per distinct pattern prefix, and no map is composed
+    from the input by ``pattern_affine``."""
+    stacks = []
     true_step = regions._layer_step
 
     def step(layer, states, A, c):
-        steps.append(states)
+        stacks.append(states)
         return true_step(layer, states, A, c)
 
     def from_the_input(*args):
         raise AssertionError("a map was composed from the input")
 
+    subdivided = []
+    true_subdivide = regions._subdivide_cell
+
+    def subdivide(*args):
+        subdivided.append(args[0])
+        return true_subdivide(*args)
+
     monkeypatch.setattr(regions, "_layer_step", step)
+    monkeypatch.setattr(regions, "_subdivide_cell", subdivide)
     monkeypatch.setattr(network, "pattern_affine", from_the_input)
     net = _random_net([5, rank, depth], 2, (width,) * depth, rank)
     rs = enumerate_regions(net, dataclasses.replace(BOX10, exact_rational=exact))
     assert "pattern_affine" not in vars(regions)
     assert rs.count > depth
-    assert len(steps) == sum(len({r.pattern[:i + 1] for r in rs.regions})
-                             for i in range(depth))
+    assert len(stacks) == len(subdivided)
+    assert all(s.ndim == 2 for s in stacks)
+    assert sum(len(s) for s in stacks) == sum(len({r.pattern[:i + 1] for r in rs.regions})
+                                              for i in range(depth))
+
+
+def _bits(*arrays) -> list[bytes]:
+    return [np.asarray(a, float).tobytes() for a in arrays]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(1, 4), n0=st.integers(1, 4), fan=st.integers(1, 16),
+       width=st.integers(1, 6), stack=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, stack, seed):
+    """The enumerator stacks each cell's unit rows, its children's layer
+    steps and its regions' maps at their witnesses; every item must be the
+    lone product bit for bit.  A stack of patterns raises the error of its
+    first bad pattern alone."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    layer = Layer(scale * rng.normal(size=(rank * width, fan)), rng.normal(size=rank * width),
+                  ACT_RECTIFIER if rank == 1 else maxout(rank))
+    A, c = rng.normal(size=(fan, n0)), scale * rng.normal(size=fan)
+    # unit rows and offsets, as _subdivide_cell stacks them
+    W, b = layer.weights, layer.bias
+    units = W.reshape(width, rank, fan)
+    G, D = units @ A, units @ c + b.reshape(width, rank)
+    for j in range(width):
+        if rank == 1:
+            assert _bits(G[j, 0], D[j, 0]) == _bits(W[j] @ A, float(W[j] @ c + b[j]))
+        else:
+            rows = slice(j * rank, (j + 1) * rank)
+            assert _bits(G[j], D[j]) == _bits(W[rows] @ A, W[rows] @ c + b[rows])
+    P = rng.integers(0, max(rank, 2), size=(stack, width))
+    As, Cs = network._layer_step(layer, P, A, c)
+    assert As.shape == (stack, width, n0) and Cs.shape == (stack, width)
+    X = rng.normal(size=(stack, n0))
+    mapped = (As @ X[..., None])[..., 0] + Cs  # the drift check's maps at the witnesses
+    for i, pattern in enumerate(P.tolist()):
+        Ai, ci = network._layer_step(layer, tuple(pattern), A, c)
+        assert _bits(As[i], Cs[i]) == _bits(Ai, ci)
+        assert _bits(mapped[i]) == _bits(AffineMap(Ai, ci)(X[i]))
+
+    def error(pattern):
+        with pytest.raises(ValueError) as err:
+            network.layer_selection(layer, pattern)
+        return str(err.value)
+
+    longer = np.hstack([P, P[:, :1]])
+    assert error(longer) == error(tuple(longer[0].tolist())) == \
+        "pattern length does not match layer width"
+    if rank > 1:
+        bad, first = P.copy(), rng.integers(stack)
+        bad[first, rng.integers(width)] = rank  # the patterns after it are bad too
+        bad[first + 1:, rng.integers(width)] = -1
+        assert error(bad) == error(tuple(bad[first].tolist()))
+        assert error(bad).startswith("branch index ")
+
+
+def _enumeration_order(net, cfg, monkeypatch):
+    """The patterns of ``net``'s regions in the order the enumerator makes
+    them, which the drift check keeps."""
+    made = []
+    true_subdivide = regions._subdivide_cell
+
+    def subdivide(cell, net, index, *args):
+        out = true_subdivide(cell, net, index, *args)
+        if index == net.depth - 1:
+            made.extend(tuple(c.pattern) for c, _, _ in out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(regions, "_subdivide_cell", subdivide)
+        enumerate_regions(net, cfg)
+    return made
+
+
+@pytest.mark.parametrize("skewed", [1, 2])
+def test_the_batched_drift_check_names_the_first_skewed_region(skewed, monkeypatch):
+    """One skewed item of one stacked step fails its region alone; of two,
+    the one the enumerator made first is named, not the first by pattern."""
+    net = _random_net(1, 2, (8, 8))
+    made = _enumeration_order(net, BOX10, monkeypatch)
+    # a pair made in one order and sorted in the other
+    p, q = next((p, q) for p in range(len(made)) for q in range(p + 1, len(made))
+                if made[q] < made[p])
+    items = [p, q][-skewed:]
+    seen = [0]
+    true_step = regions._layer_step
+
+    def step(layer, states, A, c):
+        As, Cs = true_step(layer, states, A, c)
+        if layer is net.layers[-1]:
+            first, seen[0] = seen[0], seen[0] + len(states)
+            Cs = Cs.copy()
+            for i in items:
+                if first <= i < seen[0]:
+                    Cs[i - first] += 1.0
+        return As, Cs
+
+    monkeypatch.setattr(regions, "_layer_step", step)
+    with pytest.raises(EnumerationError) as err:
+        enumerate_regions(net, BOX10)
+    assert re.fullmatch(r"affine map drifted \(\S+\) on region (\S+)", str(err.value))[1] == \
+        pattern_code(made[items[0]])
+
+
+_CORNER_SYSTEMS = [
+    (((-1.0, 1.0), (-1.0, 1.0)), [[0.6, 0.8]], [0.1]),
+    (((-2.0, 3.0), (0.0, 0.5)), [[0.0, -1.0], [-1.0, 0.0]], [-0.25, -3.5]),
+]
+
+
+def test_box_corners_are_built_once_and_cannot_change(monkeypatch):
+    """Two boxes in turn answer as each does in a fresh process, and their
+    cached corners are tuples that nothing can change in place."""
+    fresh = []
+    src = Path(regions.__file__).parents[1]
+    for system in _CORNER_SYSTEMS:
+        code = ("import numpy as np; from pwlregions import regions; "
+                f"box, normals, offsets = {system!r}; "
+                "root = regions._root_cell(box); "
+                "print(repr(regions.exact_strictly_feasible("
+                "np.array(root.normals + normals), np.array(root.offsets + offsets))))")
+        fresh.append(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env={**os.environ, "PYTHONPATH": str(src)},
+                                    check=True).stdout)
+    assert fresh[0].startswith("(True, ") and fresh[1].startswith("(False, ")
+    systems = [_in_box(*system) for system in _CORNER_SYSTEMS]
+    built = []
+    true_root = regions._root_cell
+    monkeypatch.setattr(regions, "_root_cell", lambda box: built.append(box) or true_root(box))
+    regions._box_corners.cache_clear()
+    for _ in range(2):
+        for system, want in zip(systems, fresh):
+            assert repr(exact_strictly_feasible(*system)) + "\n" == want
+    assert built == [system[0] for system in _CORNER_SYSTEMS]
+    for system in _CORNER_SYSTEMS:
+        rows, corners, masks = cached = regions._box_corners(system[0])
+        assert all(type(t) is tuple for t in (cached, rows, corners, masks, *rows, *corners))
+        with pytest.raises(TypeError):
+            corners[0][0] = 0
+        with pytest.raises(TypeError):
+            masks[0] = 0
 
 
 def test_miss_rule_holds_after_an_exact_witness(monkeypatch):
@@ -417,6 +581,10 @@ GOLDEN_REPORTS_WITHOUT_WITNESSES = {
     "maxout3-2-3-3": "378aa5d11de5781a644060ce58f9b7adf1e466dc76ef36431b1475860e46007b",
     "scale10": "22a1949c4eaabd3c94d728eaf85a88dd9125bd3b0cafbd609ecb5cd6e3ef474a",
     "shi3-exact": "10464ecc220b2342341f9dadf6af1b81395006fef808805e314e1d12ebd9c604",
+    # recorded with their full reports above
+    "maxout2-2-4-4": "e695aa0e1c526ec4dbcb1c456ebd41951c428549772b68961f629ce9ee908dea",
+    "rect-2-5-5-5": "a6059bc6a8c5dc7ff4150ce9a943fac3612f215de6368590cd7e7706db22353d",
+    "maxout4-3-3-3": "ed03516194d39cc34670d5d0bbc27b4bd602f2bd31d5cc742c318bfeb5a41d12",
 }
 
 
