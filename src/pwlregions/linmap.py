@@ -15,7 +15,8 @@ and ``region_map`` all read it.  Entry points take one finite point (n0,),
 or finite samples (m, n0), and raise ``ValueError`` otherwise.  A point is
 checked once, when it is walked; a call at the kept point compares its
 shape and float64 bytes only.  The kept maps are read-only, and the maps
-handed out are views of them, not copies.
+handed out are views of them, not copies.  A call's many points walk as
+one stack, whose items round as lone walks (see ``network._walk``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .network import (
     AffineMap,
     Network,
     _layer_step,
+    _stack_slots,
     _walk,
     forward,
     pattern_affine,
@@ -149,19 +151,15 @@ def _check_unit(net: Network, layer: int, unit: int,
 def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.ndarray:
     """Central-difference gradient of the unit's activation at x.
 
-    The 2*n0 shifted points walk through ``layer`` only and do not evict
-    x's kept layer maps."""
+    The 2*n0 shifted points walk as one stack through ``layer`` only and
+    do not evict x's kept layer maps."""
     _check_unit(net, layer, unit)
     x = _checked_point(net, x)
-    step = 1e-6
-    grad = np.zeros(len(x))
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = step
-        plus, minus = [next(itertools.islice(_walk(net, y, states=False), layer, None))[2][unit]
-                       for y in (x + e, x - e)]
-        grad[i] = (float(plus) - float(minus)) / (2.0 * step)
-    return grad
+    n, step = len(x), 1e-6
+    Y = _stack_slots(2 * n, n)
+    Y[:n, :, 0], Y[n:, :, 0] = x + step * np.eye(n), x - step * np.eye(n)
+    H = next(itertools.islice(_walk(net, Y, states=False), layer, None))[2]
+    return (H[:n, unit, 0] - H[n:, unit, 0]) / (2.0 * step)
 
 
 def boundary_clearance(net: Network, x) -> float:
@@ -202,8 +200,8 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
 
     ``samples`` must be finite and of shape (m, n0); an empty sample set
     has no pieces.  Only samples where the tracked value is strictly
-    positive are kept.  Each sample is walked once, through the layers
-    the tracked value reads.
+    positive are kept.  The samples walk once, as one stack, through the
+    layers the tracked value reads.
     Maps are deduplicated within ``tol`` (max coefficient difference,
     finite and >= 0), each retaining its first representative sample,
     then sorted by coefficients so the result is independent of
@@ -219,24 +217,25 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
         raise ValueError(f"{want}, got non-finite entries")
     _check_unit(net, layer, unit, readout)
     depth = layer + 1 if readout is None else net.depth  # layers the value reads
+    steps = list(itertools.islice(_walk(net, X.reshape(-1, net.input_dim, 1)), depth))
+    H = steps[-1][2]  # a readout applies to each item as readout(h) does
+    acts = (H if readout is None else readout.matrix @ H + readout.offset[:, None])[:, unit, 0]
+    states = [S[..., 0].tolist() for _, S, _ in steps]
     pieces: list[UnitPiece] = []
     keys = np.empty((0, net.input_dim + 1))
     # a prefix seen before fixes the same map, which matched a piece then
     seen: set[tuple] = set()
-    for x in X:
-        steps = list(itertools.islice(_walk(net, x), depth))
-        h = steps[-1][2]
-        act = float(h[unit] if readout is None else readout(h)[unit])
+    for i, act in enumerate(acts.tolist()):
         if act <= 0.0:
             continue
-        prefix = tuple(tuple(S.tolist()) for _, S, _ in steps)
+        prefix = tuple(tuple(s[i]) for s in states)
         if prefix in seen:
             continue
         seen.add(prefix)
         m = _value_map(pattern_affine(net, prefix), unit, readout)
         key = np.concatenate([m.matrix.ravel(), m.offset])
         if (np.abs(keys - key).max(axis=1) > tol).all():
-            pieces.append(UnitPiece(m, x, act))
+            pieces.append(UnitPiece(m, X[i], act))
             keys = np.vstack([keys, key])
     pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
     return pieces

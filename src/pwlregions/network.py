@@ -187,17 +187,21 @@ ActivationPattern = tuple  # tuple of per-layer tuples of ints
 
 
 def _walk(net: Network, X: np.ndarray, states: bool = True):
-    """Walk one point (n0,) or the rows of a batch (n, n0) through the stack.
+    """Walk one point (n0,), the rows of a batch (n, n0) or a stack
+    (m, n0, 1) of points through the layers.
 
     Yields, per layer, the pre-activations (rank*width values), the states
     (width ints, int8 unless a maxout rank above 128 needs intp; None
     unless ``states``) and the activations (width values), each of shape
-    (values,) for one point and (values, n) for a batch, one column per
-    point.  This is the one place that turns pre-activations into states,
-    by the tie rules in the module docstring.
-    A batch of many points goes through matrix-matrix products, whose
-    rounding can differ from one point's in the last bits; callers that
-    print per-point values walk point by point.  Four callers walk batches:
+    (values,) for one point, (values, n) for a batch, one column per
+    point, and (m, values, 1) for a stack.  This is the one place that
+    turns pre-activations into states, by the tie rules in the module
+    docstring.  numpy's matmul runs a stack as one matrix-vector product
+    per item, the product one point walks with, so each item equals its
+    lone walk bit for bit: ``linmap`` walks a gradient's shifted points
+    and the unit pieces' samples as stacks.  A batch's matrix-matrix
+    products walk a large block faster, but their rounding can differ
+    from one point's in the last bits.  Four callers walk batches:
 
     - ``pattern_matrix``, for the grid oracle, which prints only a count of
       distinct patterns.  The tests check its rows against ``pattern_at``,
@@ -214,26 +218,36 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
       a region boundary, or an output within rounding of the 1e-8
       tolerance; the tests check it against a point loop.
     - the drift check of ``regions.enumerate_regions``, bound
-      ``1e-9*max(1, scale)``: last-bit rounding can change its verdict only
-      for a drift within rounding of that bound.
+      ``1e-9*max(1, scale)``.  Its verdict can depend on the walk's
+      rounding, since ``scale`` reads the final map's entries, not the
+      terms the walk summed; a stack would move the verdict, not mend it.
     """
-    H = np.asarray(X, dtype=float).T
-    points = H.shape[1:]    # () for one point, (n,) for a batch
+    X = np.asarray(X, dtype=float)
+    H = X if X.ndim == 3 else X.T
+    ax = X.ndim // 3        # the axis of a point's values: 1 in a stack, else 0
     for layer in net.layers:
-        Z = layer.weights @ H + (layer.bias[:, None] if points else layer.bias)
+        # a batch's and a stack's values are columns
+        Z = layer.weights @ H + (layer.bias[:, None] if H.ndim > 1 else layer.bias)
         k = layer.activation.rank
         S = None
+        out = _stack_slots(len(H), layer.width) if ax else None
         if k == 1:
             if states:
                 S = (Z > 0.0).view(np.int8)
-            H = np.maximum(Z, 0.0)
+            H = np.maximum(Z, 0.0, out=out)
         else:
-            ZZ = Z.reshape((layer.width, k) + points)
+            ZZ = Z.reshape(Z.shape[:ax] + (layer.width, k) + Z.shape[ax + 1:])
             if states:
                 # one byte per unit while a branch index fits in it
-                S = ZZ.argmax(axis=1).astype(np.int8 if k <= 128 else np.intp, copy=False)
-            H = ZZ.max(axis=1)
+                S = ZZ.argmax(axis=ax + 1).astype(np.int8 if k <= 128 else np.intp, copy=False)
+            H = ZZ.max(axis=ax + 1, out=out)
         yield Z, S, H
+
+
+def _stack_slots(m: int, n: int) -> np.ndarray:
+    """An empty (m, n, 1) stack whose items are 16-byte aligned, as a lone
+    point's array is: OpenBLAS's generic dot rounds by alignment."""
+    return np.empty((m, n + n % 2, 1))[:, :n]
 
 
 def forward(net: Network, x: np.ndarray) -> list[np.ndarray]:
@@ -295,16 +309,12 @@ def layer_selection(layer: Layer, layer_pattern) -> tuple[np.ndarray, np.ndarray
     if k == 1:
         sel = np.asarray(layer_pattern, dtype=float)[..., None]
         return layer.weights * sel, layer.bias * sel[..., 0]
-    if stack:
-        for bad in layer_pattern[((layer_pattern < 0) | (layer_pattern >= k)).any(axis=1)][:1]:
-            layer_selection(layer, bad)  # raises
-        rows = np.arange(layer.width) * k + layer_pattern
-        return layer.weights[rows], layer.bias[rows]
-    rows = [j * k + int(t) for j, t in enumerate(layer_pattern)]
-    for j, t in enumerate(layer_pattern):
-        if not 0 <= int(t) < k:
-            raise ValueError(f"branch index {t} out of range for unit {j}")
-    return layer.weights[rows], layer.bias[rows]
+    P = np.asarray(layer_pattern)
+    if P.size and not (0 <= P.min() and P.max() < k):
+        first = tuple(np.argwhere((P < 0) | (P >= k))[0])  # in a stack's first bad pattern
+        raise ValueError(f"branch index {P[first]} out of range for unit {first[-1]}")
+    rows = np.arange(layer.width) * k + P
+    return layer.weights.take(rows, 0), layer.bias.take(rows)
 
 
 def _layer_step(layer: Layer, layer_pattern,

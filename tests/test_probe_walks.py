@@ -43,13 +43,15 @@ QUADRANTS = [((0.1, 0.9), (0.1, 0.9)), ((-0.9, -0.1), (0.1, 0.9)),
 
 @pytest.fixture()
 def walks(monkeypatch):
-    """Count the layer walks, as ``network`` and ``linmap`` see ``_walk``."""
-    count = [0]
+    """Count the layer walks, as ``network`` and ``linmap`` see ``_walk``;
+    ``walks[1]`` lists what each walked, as float arrays."""
+    count = [0, []]
     inner = network._walk
 
-    def counted(*args, **kwargs):
+    def counted(net, X, *args, **kwargs):
         count[0] += 1
-        return inner(*args, **kwargs)
+        count[1].append(np.array(X, float))
+        return inner(net, X, *args, **kwargs)
 
     monkeypatch.setattr(network, "_walk", counted)
     monkeypatch.setattr(linmap, "_walk", counted)
@@ -68,7 +70,10 @@ def test_unit_pieces_walk_each_sample_once(walks):
     con = build_abs_net()
     samples = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2))
     assert enumerate_unit_pieces(con.network, 0, 0, samples, readout=con.readout)
-    assert walks[0] == 50
+    assert walks[0] == 1  # was 50: one stack of every sample, in order
+    (stack,) = walks[1]
+    assert stack.shape == (50, 2, 1)
+    assert stack[..., 0].tobytes() == samples.tobytes()
 
 
 def test_identification_check_walks_each_counterpart_once(walks):
@@ -272,10 +277,11 @@ def test_finite_differences_leave_the_kept_point(walks):
     walks[0] = 0
     m = unit_linear_map(net, 1, 0, x)
     grad = finite_difference_gradient(net, 1, 0, x)
-    assert walks[0] == 1 + 2 * net.input_dim
+    assert walks[0] == 2  # x, then one stack of its 2*n0 shifted points; was 1 + 2*n0
+    assert walks[1][-1].shape == (2 * net.input_dim, net.input_dim, 1)
     assert np.max(np.abs(grad - m.matrix[0])) < 1e-6
     assert _all_unit_results(net, x) == want
-    assert walks[0] == 1 + 2 * net.input_dim
+    assert walks[0] == 2
 
 
 def test_negative_zero_is_another_point(walks):
@@ -360,6 +366,49 @@ def ref_enumerate_unit_pieces(net, layer, unit, samples, readout=None, tol=1e-8)
         if all(np.max(np.abs(key - other)) > tol for other in keys):
             pieces.append(UnitPiece(m, x, act))
             keys.append(key)
+    pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
+    return pieces
+
+
+def ref_finite_difference_gradient(net, layer, unit, x):
+    """The point loop: each shifted point walked alone, through ``layer``."""
+    _check_unit(net, layer, unit)
+    x = np.asarray(x, float)
+    step = 1e-6
+    grad = np.zeros(len(x))
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = step
+        plus, minus = [
+            next(itertools.islice(network._walk(net, y, states=False), layer, None))[2][unit]
+            for y in (x + e, x - e)]
+        grad[i] = (float(plus) - float(minus)) / (2.0 * step)
+    return grad
+
+
+def ref_walked_unit_pieces(net, layer, unit, samples, readout=None, tol=1e-8):
+    """The point loop: each sample walked alone, through the layers its
+    tracked value reads, and deduplicated by its pattern prefix."""
+    depth = layer + 1 if readout is None else net.depth
+    pieces, keys, seen = [], np.empty((0, net.input_dim + 1)), set()
+    for x in np.asarray(samples, float):
+        steps = list(itertools.islice(network._walk(net, x), depth))
+        h = steps[-1][2]
+        act = float(h[unit] if readout is None else readout(h)[unit])
+        if act <= 0.0:
+            continue
+        prefix = tuple(tuple(S.tolist()) for _, S, _ in steps)
+        if prefix in seen:
+            continue
+        seen.add(prefix)
+        full = network.pattern_affine(net, prefix)
+        if readout is not None:
+            full = readout.compose(full)
+        m = AffineMap(full.matrix[unit:unit + 1], full.offset[unit:unit + 1])
+        key = np.concatenate([m.matrix.ravel(), m.offset])
+        if (np.abs(keys - key).max(axis=1) > tol).all():
+            pieces.append(UnitPiece(m, x, act))
+            keys = np.vstack([keys, key])
     pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
     return pieces
 
@@ -510,6 +559,51 @@ def test_probe_results_equal_the_earlier_functions(name, depth, with_readout):
                 boxes = [tuple((v - half, v + half) for v in p) for p in pair]
                 assert identification_check(net, boxes, probe_count=5, readout=readout) == \
                     ref_identification_check(net, boxes, probe_count=5, readout=readout)
+
+
+STACK_CASES = [("abs", 2)] + [(name, n0) for name in ACTS for n0 in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("with_readout", [False, True], ids=["units", "readout"])
+@pytest.mark.parametrize("name, n0", STACK_CASES, ids=[f"{n}-n0={d}" for n, d in STACK_CASES])
+def test_stacked_gradients_and_pieces_equal_the_point_loops_as_bytes(name, n0, with_readout):
+    """The shifted points of a gradient and the samples of the unit pieces
+    walk as one stack; every result is the point loop's, byte for byte, at
+    exact zero pre-activations and -0.0 coordinates too."""
+    rng = np.random.default_rng([n0, len(name), int(with_readout)])
+    if name == "abs":  # zero pre-activations on the axes
+        con = build_abs_net()
+        net, readout = con.network, con.readout if with_readout else None
+    else:
+        # odd n0: one-row layers and readout, which BLAS runs as a dot, not a gemv
+        widths = (1, 3, 1) if n0 % 2 else (3, 3, 2)
+        net = _random_net(rng, ACTS[name], widths, n0=n0)
+        row = np.abs(rng.normal(size=(1, widths[-1])))  # and its negative, for two rows
+        rows = row if n0 % 2 else np.vstack([row, -row])
+        readout = AffineMap(rows, np.full(len(rows), 0.5)) if with_readout else None
+    X = rng.uniform(-2.0, 2.0, size=(80, n0))
+    X[:20] = rng.choice([-1.0, -0.0, 0.0, 0.5], size=(20, n0))
+    if readout is None:
+        tracked = [(layer, u) for layer in range(net.depth)
+                   for u in range(net.layers[layer].width)]
+    else:
+        tracked = [(0, u) for u in range(readout.matrix.shape[0])]
+    pieces = 0
+    for layer, unit in tracked:
+        got = enumerate_unit_pieces(net, layer, unit, X, readout=readout)
+        want = ref_walked_unit_pieces(net, layer, unit, X, readout=readout)
+        assert [_piece_bytes(p) for p in got] == [_piece_bytes(p) for p in want]
+        pieces += len(want)
+        if readout is None:
+            for x in X[:30]:
+                assert finite_difference_gradient(net, layer, unit, x).tobytes() == \
+                    ref_finite_difference_gradient(net, layer, unit, x).tobytes()
+    assert pieces > 0
+
+
+def _piece_bytes(p):
+    return (p.map.matrix.tobytes(), p.map.offset.tobytes(), p.representative.tobytes(),
+            np.float64(p.activation).tobytes())
 
 
 @pytest.mark.parametrize("build, boxes", [

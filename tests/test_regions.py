@@ -390,9 +390,10 @@ def _bits(*arrays) -> list[bytes]:
        width=st.integers(1, 6), stack=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, stack, seed):
     """The enumerator stacks each cell's unit rows, its children's layer
-    steps and its regions' maps at their witnesses; every item must be the
-    lone product bit for bit.  A stack of patterns raises the error of its
-    first bad pattern alone."""
+    steps and its regions' maps at their witnesses, and linmap walks a
+    call's points as one stack; every item must be the lone product or
+    walk bit for bit.  A stack of patterns raises the error of its first
+    bad pattern alone."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-3, 4)
     layer = Layer(scale * rng.normal(size=(rank * width, fan)), rng.normal(size=rank * width),
@@ -417,6 +418,26 @@ def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, 
         Ai, ci = network._layer_step(layer, tuple(pattern), A, c)
         assert _bits(As[i], Cs[i]) == _bits(Ai, ci)
         assert _bits(mapped[i]) == _bits(AffineMap(Ai, ci)(X[i]))
+
+    # a stack of points (stack, n0, 1) walked against each point alone; small
+    # integers give exact zero pre-activations and tied maxout branches, and
+    # a last rectifier unit a one-row product, which BLAS runs as a dot
+    ints = rng.random() < 0.5
+
+    def draw(*shape):
+        return rng.integers(-1, 2, size=shape) * 1.0 if ints else scale * rng.normal(size=shape)
+
+    net = Network(n0, tuple(Layer(draw(r * w, f), draw(r * w), act) for r, w, f, act in (
+        (rank, fan, n0, layer.activation), (rank, width, fan, layer.activation),
+        (1, 1, width, ACT_RECTIFIER))))
+    points = draw(stack, n0)
+    points[rng.random(size=points.shape) < 0.3] = -0.0
+    walked = list(network._walk(net, points[..., None]))
+    for i, x in enumerate(points):
+        for (Z, S, H), (z, s, h) in zip(walked, network._walk(net, x), strict=True):
+            assert Z.shape[::2] == S.shape[::2] == H.shape[::2] == (stack, 1)
+            assert (Z[i, :, 0].tobytes(), H[i, :, 0].tobytes()) == (z.tobytes(), h.tobytes())
+            assert S.dtype == s.dtype and S[i, :, 0].tobytes() == s.tobytes()
 
     def error(pattern):
         with pytest.raises(ValueError) as err:
