@@ -31,6 +31,7 @@ from .network import (
     AffineMap,
     Network,
     _layer_step,
+    _row_bytes,
     _stack_slots,
     _walk,
     forward,
@@ -220,22 +221,20 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     steps = list(itertools.islice(_walk(net, X.reshape(-1, net.input_dim, 1)), depth))
     H = steps[-1][2]  # a readout applies to each item as readout(h) does
     acts = (H if readout is None else readout.matrix @ H + readout.offset[:, None])[:, unit, 0]
-    states = [S[..., 0].tolist() for _, S, _ in steps]
+    states = [S[..., 0] for _, S, _ in steps]  # (m, width) per layer
+    rows = _row_bytes(np.hstack(states))  # one dtype, so equal bytes: equal prefixes
     pieces: list[UnitPiece] = []
     keys = np.empty((0, net.input_dim + 1))
     # a prefix seen before fixes the same map, which matched a piece then
-    seen: set[tuple] = set()
-    for i, act in enumerate(acts.tolist()):
-        if act <= 0.0:
+    seen: set[bytes] = set()
+    for i in np.flatnonzero(~(acts <= 0.0)).tolist():  # as a point loop, it keeps a NaN
+        if rows[i] in seen:
             continue
-        prefix = tuple(tuple(s[i]) for s in states)
-        if prefix in seen:
-            continue
-        seen.add(prefix)
-        m = _value_map(pattern_affine(net, prefix), unit, readout)
+        seen.add(rows[i])
+        m = _value_map(pattern_affine(net, [S[i] for S in states]), unit, readout)
         key = np.concatenate([m.matrix.ravel(), m.offset])
         if (np.abs(keys - key).max(axis=1) > tol).all():
-            pieces.append(UnitPiece(m, X[i], act))
+            pieces.append(UnitPiece(m, X[i], float(acts[i])))
             keys = np.vstack([keys, key])
     pieces.sort(key=lambda p: tuple(np.concatenate([p.map.matrix.ravel(), p.map.offset])))
     return pieces

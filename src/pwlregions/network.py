@@ -265,6 +265,14 @@ def pattern_matrix(net: Network, X: np.ndarray) -> np.ndarray:
     return np.hstack([S.T for _, S, _ in _walk(net, X)])
 
 
+def _row_bytes(S: np.ndarray) -> list[bytes]:
+    """One ``bytes`` per row of a state matrix, one integer of one dtype per
+    unit as ``pattern_matrix`` gives: two rows are the same pattern exactly
+    when their bytes are equal."""
+    S = np.ascontiguousarray(S)
+    return S.view(np.dtype((np.void, S.shape[1] * S.itemsize))).ravel().tolist()
+
+
 def pattern_code(pattern: ActivationPattern) -> str:
     """Compact text form of a pattern: units joined by ',', layers by '|'."""
     return "|".join(",".join(str(int(u)) for u in layer) for layer in pattern)
@@ -303,17 +311,16 @@ def layer_selection(layer: Layer, layer_pattern) -> tuple[np.ndarray, np.ndarray
     branch row per unit.  A stack of patterns, an (m, width) array, gives m
     stacked selections; it raises as its first bad pattern does alone."""
     k = layer.activation.rank
-    stack = isinstance(layer_pattern, np.ndarray) and layer_pattern.ndim == 2
-    if (layer_pattern.shape[1] if stack else len(layer_pattern)) != layer.width:
+    P = np.asarray(layer_pattern, float if k == 1 else None)
+    if P.shape[-1] != layer.width:
         raise ValueError("pattern length does not match layer width")
     if k == 1:
-        sel = np.asarray(layer_pattern, dtype=float)[..., None]
+        sel = P[..., None]
         return layer.weights * sel, layer.bias * sel[..., 0]
-    P = np.asarray(layer_pattern)
     if P.size and not (0 <= P.min() and P.max() < k):
         first = tuple(np.argwhere((P < 0) | (P >= k))[0])  # in a stack's first bad pattern
         raise ValueError(f"branch index {P[first]} out of range for unit {first[-1]}")
-    rows = np.arange(layer.width) * k + P
+    rows = np.arange(0, layer.width * k, k) + P
     return layer.weights.take(rows, 0), layer.bias.take(rows)
 
 

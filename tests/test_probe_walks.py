@@ -488,8 +488,10 @@ def test_region_map_equals_the_earlier_output_map(name, with_readout):
 
 
 def _random_net(rng, act, widths, n0=2):
+    """Normal weights; ``act`` is every layer's activation, or a tuple of one per layer."""
+    acts = act if isinstance(act, tuple) else (act,) * len(widths)
     layers, fan = [], n0
-    for w in widths:
+    for w, act in zip(widths, acts, strict=True):
         rows = w * act.rank
         layers.append(Layer(rng.normal(size=(rows, fan)), rng.normal(size=rows), act))
         fan = w
@@ -561,7 +563,9 @@ def test_probe_results_equal_the_earlier_functions(name, depth, with_readout):
                     ref_identification_check(net, boxes, probe_count=5, readout=readout)
 
 
-STACK_CASES = [("abs", 2)] + [(name, n0) for name in ACTS for n0 in (1, 2, 3)]
+# intp states of a rank-129 layer, then int8 ones: a prefix's states stack as intp
+MIXED = {"maxout129+2": (maxout(129), maxout(2), maxout(2))}
+STACK_CASES = [("abs", 2)] + [(name, n0) for name in {**ACTS, **MIXED} for n0 in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("with_readout", [False, True], ids=["units", "readout"])
@@ -577,7 +581,7 @@ def test_stacked_gradients_and_pieces_equal_the_point_loops_as_bytes(name, n0, w
     else:
         # odd n0: one-row layers and readout, which BLAS runs as a dot, not a gemv
         widths = (1, 3, 1) if n0 % 2 else (3, 3, 2)
-        net = _random_net(rng, ACTS[name], widths, n0=n0)
+        net = _random_net(rng, {**ACTS, **MIXED}[name], widths, n0=n0)
         row = np.abs(rng.normal(size=(1, widths[-1])))  # and its negative, for two rows
         rows = row if n0 % 2 else np.vstack([row, -row])
         readout = AffineMap(rows, np.full(len(rows), 0.5)) if with_readout else None

@@ -161,11 +161,13 @@ def _scale10_net():
 
 
 def _random_net(seed, n0, widths, rank=1):
+    """Normal weights; ``rank`` is every layer's rank, or a tuple of one per layer."""
     rng = np.random.default_rng(seed)
-    act = ACT_RECTIFIER if rank == 1 else maxout(rank)
+    ranks = rank if isinstance(rank, tuple) else (rank,) * len(widths)
     layers, fan = [], n0
-    for w in widths:
-        layers.append(Layer(rng.normal(size=(rank * w, fan)), rng.normal(size=rank * w), act))
+    for w, k in zip(widths, ranks, strict=True):
+        act = ACT_RECTIFIER if k == 1 else maxout(k)
+        layers.append(Layer(rng.normal(size=(k * w, fan)), rng.normal(size=k * w), act))
         fan = w
     return Network(n0, tuple(layers))
 
@@ -1060,14 +1062,16 @@ def test_oracle_resolution_parity_insensitive():
 def _oracle_reference(net, box, resolution):
     """Every grid point's pattern row, walked one grid line (``resolution``
     points) at a time, and the distinct rows of all of them counted by one
-    ``np.unique``, each row read as one base-4 number."""
+    ``np.unique``, each row read as one mixed-radix number (column j's
+    radix is its largest entry plus one)."""
     axes = [lo + (hi - lo) / resolution * (np.arange(resolution) + regions._GRID_OFFSET)
             for lo, hi in box]
     X = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     rows = np.concatenate([pattern_matrix(net, line)
                            for line in np.split(X, len(X) // resolution)]).astype(np.int64)
-    assert rows.min() >= 0 and rows.max() < 4 and rows.shape[1] < 32
-    return int(np.unique(rows @ 4 ** np.arange(rows.shape[1])).shape[0])
+    radix = rows.max(axis=0) + 1
+    assert rows.min() >= 0 and np.prod(radix.astype(float)) < 2.0 ** 62
+    return int(np.unique(rows @ np.cumprod(np.r_[1, radix[:-1]])).shape[0])
 
 
 @pytest.mark.parametrize("n0, resolution", [
@@ -1075,9 +1079,11 @@ def _oracle_reference(net, box, resolution):
     # 2-d grids of 65025, 65536, 66049 and 160000 points: 20 to 147 blocks of 1092-3276
     (2, 255), (2, 256), (2, 257), (2, 400),
 ])
-@pytest.mark.parametrize("rank", [1, 2, 3], ids=["rectifier", "maxout2", "maxout3"])
+# a rank-129 layer's states are intp and a rank-2 layer's int8: their rows are intp
+@pytest.mark.parametrize("rank", [1, 2, 3, (129, 2)],
+                         ids=["rectifier", "maxout2", "maxout3", "maxout129+2"])
 def test_oracle_counts_rows_like_one_batch(rank, n0, resolution):
-    net = _random_net([23, rank, n0], n0, (5, 4), rank)
+    net = _random_net([23, *np.ravel(rank), n0], n0, (5, 4), rank)
     box = ((-3.0, 3.0),) * n0
     count = oracle_count_by_grid(net, box, resolution)
     assert count == _oracle_reference(net, box, resolution)
