@@ -157,7 +157,7 @@ def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.nda
     _check_unit(net, layer, unit)
     x = _checked_point(net, x)
     n, step = len(x), 1e-6
-    Y = _stack_slots(2 * n, n)
+    Y = _stack_slots((2 * n,), n)
     Y[:n, :, 0], Y[n:, :, 0] = x + step * np.eye(n), x - step * np.eye(n)
     H = next(itertools.islice(_walk(net, Y, states=False), layer, None))[2]
     return (H[:n, unit, 0] - H[n:, unit, 0]) / (2.0 * step)
@@ -227,7 +227,7 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     keys = np.empty((0, net.input_dim + 1))
     # a prefix seen before fixes the same map, which matched a piece then
     seen: set[bytes] = set()
-    for i in np.flatnonzero(~(acts <= 0.0)).tolist():  # as a point loop, it keeps a NaN
+    for i in np.flatnonzero(acts > 0.0).tolist():
         if rows[i] in seen:
             continue
         seen.add(rows[i])
@@ -279,7 +279,7 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
 
     l1, l2 = _layer_maps(net, x1), _layer_maps(net, x2)
     (a1, p1), (a2, p2) = tracked(l1), tracked(l2)
-    if a1 <= 0.0 or a2 <= 0.0:
+    if not (a1 > 0.0 and a2 > 0.0):  # a NaN value is not positive either
         raise ValueError("unit must be active (positive value) at both points")
     m1, m2 = (_value_map(AffineMap(*layers[at][3:]), unit, readout) for layers in (l1, l2))
     if p1 == p2:

@@ -230,7 +230,7 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
         Z = layer.weights @ H + (layer.bias[:, None] if H.ndim > 1 else layer.bias)
         k = layer.activation.rank
         S = None
-        out = _stack_slots(len(H), layer.width) if ax else None
+        out = _stack_slots((len(H),), layer.width) if ax else None
         if k == 1:
             if states:
                 S = (Z > 0.0).view(np.int8)
@@ -244,10 +244,11 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
         yield Z, S, H
 
 
-def _stack_slots(m: int, n: int) -> np.ndarray:
-    """An empty (m, n, 1) stack whose items are 16-byte aligned, as a lone
-    point's array is: OpenBLAS's generic dot rounds by alignment."""
-    return np.empty((m, n + n % 2, 1))[:, :n]
+def _stack_slots(lead: tuple, n: int) -> np.ndarray:
+    """An empty ``lead + (n, 1)`` stack of 16-byte aligned items, as fresh
+    lone vectors are (OpenBLAS's generic dot rounds by alignment): for the
+    walk's stacks of points and ``regions._unit_children``'s rows."""
+    return np.empty((*lead, n + n % 2, 1))[..., :n, :]
 
 
 def forward(net: Network, x: np.ndarray) -> list[np.ndarray]:

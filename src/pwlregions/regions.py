@@ -5,16 +5,16 @@ polyhedron of the input box, carried as strict inequalities
 ``normal . x < offset`` (rows unit-normalized), together with the
 activation pattern that produced it, its vertices, and an interior witness
 point.  Each live cell carries the map ``(A, c)`` into the current layer's
-inputs.  Per cell and layer, one stacked product builds every unit's rows
-from it, and one ``network._layer_step`` on the stack of its children's
-patterns gives each child its map, bit for bit as a lone step would.  One
-batch checks every region's map against the forward pass.
+inputs.  Per cell and layer, one stacked product gives every unit's rows
+(``_unit_children`` normalizes them in one stacked step), and one
+``network._layer_step`` on the stack of the children's patterns their maps,
+bit for bit as lone products; one batch checks every map at its witness.
 
-Each rectifier unit folds back to a single input-space hyperplane per
-region; each rank-k maxout unit yields k candidate children, one per
-branch, cut out by the k-1 strict dominance inequalities.  A child
-survives iff its Chebyshev radius (the largest ball inside it) exceeds
-``FEAS_TOL``.
+A unit cuts a cell where two of its pieces tie: a rectifier (its
+pre-activation against zero) along one hyperplane, into an active and an
+inactive child; a rank-k maxout unit into k children, one per branch, by
+the k-1 strict dominance inequalities.  A child survives iff its
+Chebyshev radius (the largest ball inside it) exceeds ``FEAS_TOL``.
 
 Every cell carries its vertices (the box corners at the root), each with
 a bitmask of the rows tight there.  ``_try_extend`` decides every child,
@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import network
-from .network import Network, _layer_step, forward, pattern_code, pattern_matrix
+from .network import Network, _layer_step, _stack_slots, forward, pattern_code, pattern_matrix
 
 Box = tuple[tuple[float, float], ...]
 
@@ -392,48 +392,48 @@ def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
     return _Cell(normals, offsets, cell.pattern + [state], witness, V, tight, tol)
 
 
-def _norm(v) -> float:
-    """Euclidean norm; runs where ``enumerate_regions`` makes overflow raise."""
-    try:
-        return float(np.linalg.norm(v))
+def _unit_children(G, D) -> list[list[tuple]]:
+    """Per unit j of a layer, the (state, new rows) of its children on a
+    parent cell where its branch rows and offsets are ``G[j]``, ``D[j]``: the
+    row ``-G[j, 0]``, offset ``D[j, 0]``, of a rectifier's active side, and for
+    maxout branch t, ``G[j, s] - G[j, t]``, ``D[j, t] - D[j, s]`` for every s.
+    All rows are normalized at once in aligned slots; each squared norm is
+    the dot ``np.linalg.norm`` takes of the lone row at its alignment, so a
+    rectifier's is read in G.  A row under ``_ZERO_ROW * max(1, |offset|)`` is
+    zero: a constant rectifier takes its bias's sign (0 is inactive), and a
+    maxout branch t has no child if some s with a zero row beats it
+    everywhere, or ties it with s < t.  Active children come first."""
+    width, k, n0 = G.shape
+    slots = _stack_slots((width, k, k), n0)
+    R = slots[..., 0]  # row s of branch t of unit j: R[j, t, s]
+    if k == 1:
+        np.negative(G[:, :, None], out=R)
+        O, at = D[:, :, None], G[:, :, None, None]
+    else:
+        np.subtract(G[:, None], G[:, :, None], out=R)
+        O, at = D[:, :, None] - D[:, None], slots.mT
+    try:  # enumerate_regions makes overflow raise
+        norms = np.sqrt((at @ at.mT)[..., 0, 0])
     except FloatingPointError:  # the squares overflow: rescale, only here
-        m = float(np.abs(v).max())
-        return m * float(np.linalg.norm(v / m))
-
-
-def _rectifier_children(g, d):
-    """(state, new rows) of the children of one rectifier unit on one
-    cell, the active child first."""
-    norm = _norm(g)
-    if norm < _ZERO_ROW * max(1.0, abs(d)):
-        # Unit is constant on the whole input space of this cell; the sign
-        # of the bias decides, exact zero counting as inactive.
-        yield 1 if d > 0 else 0, []
-        return
-    # active: g.x + d > 0  <=>  (-g).x < d; inactive: the negated row
-    row, off = -g / norm, d / norm
-    yield 1, [(row, off)]
-    yield 0, [(-row, -off)]
-
-
-def _maxout_children(G, D):
-    """(state, new rows) of the children of one maxout unit on one cell."""
-    k = G.shape[0]
-    for t in range(k):
-        rows = []
-        for s in range(k):
-            if s == t:
-                continue
-            row = G[s] - G[t]
-            off = D[t] - D[s]
-            norm = _norm(row)
-            if norm >= _ZERO_ROW * max(1.0, abs(off)):
-                rows.append((row / norm, off / norm))
-            elif off < 0 or (off == 0 and s < t):
-                # s beats branch t everywhere; identical branches: the lower index wins
-                break
-        else:
-            yield t, rows
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((at @ at.mT)[..., 0, 0])
+            for i in zip(*np.nonzero(np.isinf(norms))):
+                top = np.abs(R[i]).max()
+                norms[i] = top * np.linalg.norm(R[i] / top)
+    zero = norms < _ZERO_ROW * np.maximum(1.0, np.abs(O))
+    safe = np.where(zero, 1.0, norms)
+    np.divide(R, safe[..., None], out=R)
+    table = zip(R.reshape(-1, n0), (O / safe).ravel().tolist(), zero.ravel().tolist())
+    if k == 1:
+        return [[(int(off > 0), [])] if z else [(1, [(row, off)]), (0, [(-row, -off)])]
+                for row, off, z in table]
+    beats = np.where(np.arange(k) < np.arange(k)[:, None], O <= 0, O < 0)  # s < t wins a tie
+    units = []
+    for beaten in (zero & beats).any(axis=2).tolist():
+        branches = [[(row, off) for row, off, z in itertools.islice(table, k) if not z]
+                    for _ in range(k)]
+        units.append([(t, rows) for t, (rows, b) in enumerate(zip(branches, beaten)) if not b])
+    return units
 
 
 def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,
@@ -442,9 +442,9 @@ def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,
     every unit of layer ``index``.  ``held`` live cells lie outside this
     one; with them, every child created counts against ``cfg.region_cap``.
     Returns each child with its map: item i of one ``_layer_step`` of
-    ``(A, c0)`` on the stack of the children's patterns.  Unit j's rows are
-    item j of one stacked product; numpy's matmul runs each item of a stack
-    as it runs the lone product, so stacking changes no bit."""
+    ``(A, c0)`` on the stack of the children's patterns.  ``_unit_children``
+    turns item j of one stacked product, unit j's branch rows, into children;
+    numpy's matmul runs each stacked item as the lone product: no bit moves."""
     cells = [cell]
     layer = net.layers[index]
     k = layer.activation.rank
@@ -452,9 +452,7 @@ def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,
     W = layer.weights.reshape(layer.width, k, -1)
     G, D = W @ A, W @ c0 + layer.bias.reshape(layer.width, k)
     fixed = len(cell.pattern)  # layers whose states are tuples already
-    for j in range(layer.width):
-        children = list(_rectifier_children(G[j, 0], float(D[j, 0])) if k == 1
-                        else _maxout_children(G[j], D[j]))
+    for j, children in enumerate(_unit_children(G, D)):
         nxt = []
         for i, c in enumerate(cells):
             for state, new_rows in children:

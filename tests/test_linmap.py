@@ -215,6 +215,17 @@ def test_identified_pair_requires_active_unit():
         find_identified_pair(con.network, 0, 0, [-0.5, 0.2], [0.7, 0.2])
 
 
+def test_a_nan_value_is_not_positive():
+    # for x > 1 both first-layer units overflow to inf, and the second
+    # layer's unit is inf - inf = NaN: it gave a piece with activation NaN
+    # and the zero map, and a pair with same_region=True
+    net = Network(1, (Layer([[1e308], [1e308]], [0, 0]), Layer([[1, -1]], [0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert enumerate_unit_pieces(net, 1, 0, [[10.0], [-1.0]]) == []
+        with pytest.raises(ValueError, match="unit must be active"):
+            find_identified_pair(net, 1, 0, [10.0], [3.0])
+
+
 def test_identified_pair_detects_boundary_crossing():
     # adjusting from 0.8 toward the value 0.7 target means walking to 1.2,
     # but the fold flips direction at 1.0 first

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
@@ -313,35 +313,33 @@ def test_missed_planes_run_no_clip(name, monkeypatch):
 
 # (parent cell, unit) pairs on two nets of GOLDEN_REPORTS.  While each
 # unit's rows were built once per (cell, unit), the nets made 630 and 77
-# calls.
-UNIT_ROWS = {"rect-2-8-8": (296, "_rectifier_children"),
-             "maxout3-2-3-3": (45, "_maxout_children")}
+# calls; while each unit's rows were built per (parent cell, unit), 296 and 45.
+UNIT_ROWS = {"rect-2-8-8": 296, "maxout3-2-3-3": 45}
 
 
 @pytest.mark.parametrize("name", sorted(UNIT_ROWS))
 def test_unit_rows_are_built_once_per_parent_cell(name, monkeypatch):
     """Every cell that one ``_subdivide_cell`` call holds lies in the
-    parent cell, where the layer's inputs follow the parent's map, so each
-    unit's rows are built once per parent cell, not once per cell."""
-    pairs, calls = [], {"_rectifier_children": [], "_maxout_children": []}
-    true_subdivide = regions._subdivide_cell
+    parent cell, where the layer's inputs follow the parent's map, so one
+    table per parent cell holds the rows of all the layer's units."""
+    widths, tables = [], []
+    true_subdivide, true_children = regions._subdivide_cell, regions._unit_children
 
     def subdivide(cell, net, index, *args):
-        pairs.append(net.layers[index].width)
+        widths.append(net.layers[index].width)
         return true_subdivide(cell, net, index, *args)
 
-    def wrap(fn, true):
-        return lambda *args: calls[fn].append(args) or true(*args)
+    def children(G, D):
+        table = true_children(G, D)
+        tables.append(len(table))
+        return table
 
     monkeypatch.setattr(regions, "_subdivide_cell", subdivide)
-    for fn in calls:
-        monkeypatch.setattr(regions, fn, wrap(fn, getattr(regions, fn)))
+    monkeypatch.setattr(regions, "_unit_children", children)
     make, count, _ = GOLDEN_REPORTS[name]
     assert enumerate_regions(*make()).count == count
-    expected, fn = UNIT_ROWS[name]
-    assert sum(pairs) == expected
-    assert {k: len(v) for k, v in calls.items()} == {
-        k: expected if k == fn else 0 for k in calls}
+    assert tables == widths  # one table per call, one entry per unit of the layer
+    assert sum(tables) == UNIT_ROWS[name]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -455,6 +453,84 @@ def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, 
         bad[first + 1:, rng.integers(width)] = -1
         assert error(bad) == error(tuple(bad[first].tolist()))
         assert error(bad).startswith("branch index ")
+
+
+# The per-row helpers that built each unit's rows before the row table,
+# kept as its reference: one norm per row, one generator per unit kind.
+def ref_norm(v) -> float:
+    try:
+        return float(np.linalg.norm(v))
+    except FloatingPointError:  # the squares overflow: rescale, only here
+        m = float(np.abs(v).max())
+        return m * float(np.linalg.norm(v / m))
+
+
+def ref_rectifier_children(g, d):
+    norm = ref_norm(g)
+    if norm < regions._ZERO_ROW * max(1.0, abs(d)):
+        yield 1 if d > 0 else 0, []  # constant on the cell: the bias sign decides
+        return
+    row, off = -g / norm, d / norm  # active: g.x + d > 0  <=>  (-g).x < d
+    yield 1, [(row, off)]
+    yield 0, [(-row, -off)]
+
+
+def ref_maxout_children(G, D):
+    k = G.shape[0]
+    for t in range(k):
+        rows = []
+        for s in range(k):
+            if s == t:
+                continue
+            row = G[s] - G[t]
+            off = D[t] - D[s]
+            norm = ref_norm(row)
+            if norm >= regions._ZERO_ROW * max(1.0, abs(off)):
+                rows.append((row / norm, off / norm))
+            elif off < 0 or (off == 0 and s < t):
+                break  # s beats branch t everywhere; identical branches: the lower index wins
+        else:
+            yield t, rows
+
+
+def _children_bits(children) -> list:
+    return [[(state, [(np.asarray(row).tobytes(), np.float64(off).tobytes()) for row, off in rows])
+             for state, rows in unit] for unit in children]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank=st.integers(1, 4), n0=st.integers(1, 4), fan=st.integers(1, 8),
+       width=st.integers(1, 8), kind=st.sampled_from(["normal", "integer", "1e160", "1e300"]),
+       seed=st.integers(0, 2**32 - 1))
+# n0 = 3: on these, under the generic kernel, a norm read away from the lone
+# row's alignment (a rectifier's in a slot, a maxout's off one) differs
+@example(rank=1, n0=3, fan=4, width=8, kind="normal", seed=0)
+@example(rank=2, n0=3, fan=4, width=8, kind="normal", seed=0)
+def test_unit_rows_equal_the_per_row_references_bit_for_bit(rank, n0, fan, width, kind, seed):
+    """One row table per parent cell gives every unit the children that
+    the per-row references give: the same states in the same order, and
+    the same row and offset bytes, on eight parent cells of one layer.
+    Small integers give zero difference rows with negative, zero and
+    positive offsets, and identical branches; the squares of rows of size
+    1e160 and 1e300 overflow and are rescaled.  Under OpenBLAS's generic
+    kernel this holds only if each norm reads its row at the alignment the
+    reference's lone norm reads it at."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.integers(-1, 2, size=shape) * 1.0 if kind == "integer" else rng.normal(size=shape)
+
+    scale = (1.0 if kind == "integer" else 10.0 ** rng.integers(-3, 4) if kind == "normal"
+             else float(kind) / (4 * fan))  # a row of size about 1e160 or 1e300
+    units, b = scale * draw(width, rank, fan), draw(width, rank)
+    for _ in range(8):
+        A, c = draw(fan, n0), draw(fan)
+        with np.errstate(over="raise"):  # as enumerate_regions runs them
+            G, D = units @ A, units @ c + b  # as _subdivide_cell stacks them
+            expected = [list(ref_rectifier_children(G[j, 0], float(D[j, 0])) if rank == 1
+                             else ref_maxout_children(G[j], D[j])) for j in range(width)]
+            got = regions._unit_children(G, D)
+        assert _children_bits(got) == _children_bits(expected)
 
 
 def _enumeration_order(net, cfg, monkeypatch):
