@@ -392,48 +392,62 @@ def _try_extend(cell: _Cell, state, new_rows, cfg) -> _Cell | None:
     return _Cell(normals, offsets, cell.pattern + [state], witness, V, tight, tol)
 
 
-def _unit_children(G, D) -> list[list[tuple]]:
-    """Per unit j of a layer, the (state, new rows) of its children on a
-    parent cell where its branch rows and offsets are ``G[j]``, ``D[j]``: the
-    row ``-G[j, 0]``, offset ``D[j, 0]``, of a rectifier's active side, and for
-    maxout branch t, ``G[j, s] - G[j, t]``, ``D[j, t] - D[j, s]`` for every s.
-    All rows are normalized at once in aligned slots; each squared norm is
-    the dot ``np.linalg.norm`` takes of the lone row at its alignment, so a
-    rectifier's is read in G.  A row under ``_ZERO_ROW * max(1, |offset|)`` is
-    zero: a constant rectifier takes its bias's sign (0 is inactive), and a
-    maxout branch t has no child if some s with a zero row beats it
-    everywhere, or ties it with s < t.  Active children come first."""
+def _unit_children(G, D):
+    """Yield per unit j, in turn, the (state, new rows) of its children on a
+    parent cell where its branch rows and offsets are ``G[j]``, ``D[j]``.
+    The rows, ``-G[j, 0]`` (offset ``D[j, 0]``) of a rectifier's active side
+    and ``G[j, s] - G[j, t]`` (``D[j, t] - D[j, s]``) of maxout branch t, are
+    normalized at once: each squared norm is the ``ddot`` of
+    ``np.linalg.norm`` on the lone row at its alignment, a maxout row's in
+    an aligned slot, a rectifier's in G.  A maxout difference that
+    overflows raises when its branch reads it, as the lone rows did."""
     width, k, n0 = G.shape
-    slots = _stack_slots((width, k, k), n0)
-    R = slots[..., 0]  # row s of branch t of unit j: R[j, t, s]
-    if k == 1:
-        np.negative(G[:, :, None], out=R)
-        O, at = D[:, :, None], G[:, :, None, None]
+    if k == 1:  # a rectifier's row: normed where it lies in G, negated below
+        R = G[:, :, None]
+        col = R[..., None]
     else:
-        np.subtract(G[:, None], G[:, :, None], out=R)
-        O, at = D[:, :, None] - D[:, None], slots.mT
-    try:  # enumerate_regions makes overflow raise
-        norms = np.sqrt((at @ at.mT)[..., 0, 0])
+        slots = _stack_slots((width, k, k), n0)
+        R, col = slots[..., 0], slots  # row s of branch t of unit j: R[j, t, s]
+        try:  # enumerate_regions makes overflow raise
+            np.subtract(G[:, None], G[:, :, None], out=R)
+            O = D[:, :, None] - D[:, None]
+        except FloatingPointError:  # mark the pairs; a branch that reads one raises
+            with np.errstate(over="ignore"):
+                np.subtract(G[:, None], G[:, :, None], out=R)
+                O = D[:, :, None] - D[:, None]
+            over = np.isinf(R).any(axis=-1) | np.isinf(O)
+            R[over], O[over] = 0.0, np.nan
+    try:
+        norms = np.sqrt((col.swapaxes(-1, -2) @ col)[..., 0, 0])
     except FloatingPointError:  # the squares overflow: rescale, only here
         with np.errstate(over="ignore"):
-            norms = np.sqrt((at @ at.mT)[..., 0, 0])
+            norms = np.sqrt((col.swapaxes(-1, -2) @ col)[..., 0, 0])
             for i in zip(*np.nonzero(np.isinf(norms))):
                 top = np.abs(R[i]).max()
                 norms[i] = top * np.linalg.norm(R[i] / top)
-    zero = norms < _ZERO_ROW * np.maximum(1.0, np.abs(O))
-    safe = np.where(zero, 1.0, norms)
-    np.divide(R, safe[..., None], out=R)
-    table = zip(R.reshape(-1, n0), (O / safe).ravel().tolist(), zero.ravel().tolist())
-    if k == 1:
-        return [[(int(off > 0), [])] if z else [(1, [(row, off)]), (0, [(-row, -off)])]
-                for row, off, z in table]
-    beats = np.where(np.arange(k) < np.arange(k)[:, None], O <= 0, O < 0)  # s < t wins a tie
-    units = []
-    for beaten in (zero & beats).any(axis=2).tolist():
-        branches = [[(row, off) for row, off, z in itertools.islice(table, k) if not z]
-                    for _ in range(k)]
-        units.append([(t, rows) for t, (rows, b) in enumerate(zip(branches, beaten)) if not b])
-    return units
+    safe = np.maximum(norms, _ZERO_ROW)[..., None]  # a zero row is never read
+    if k == 1:  # a zero row: the bias's sign decides, 0 inactive; else the active side first
+        inactive = (R / safe)[:, 0, 0]
+        for row, neg, ((norm,),), off in zip(-inactive, inactive, norms.tolist(), D[:, 0].tolist()):
+            yield ([(int(off > 0), [])] if norm < _ZERO_ROW * max(1.0, abs(off))
+                   else [(1, [(row, off / norm)]), (0, [(neg, -off / norm)])])
+        return
+    np.divide(R, safe, out=R)
+    for j, (unit, offs) in enumerate(zip(norms.tolist(), O.tolist())):
+        children = []
+        for t in range(k):
+            rows = []
+            for s in range(k):  # s = t: a zero row with offset 0, which never beats t
+                norm, off = unit[t][s], offs[t][s]
+                if norm >= _ZERO_ROW * max(1.0, abs(off)):
+                    rows.append((R[j, t, s], off / norm))
+                elif off < 0 or (off == 0 and s < t):
+                    break  # s beats t everywhere; identical branches: the lower index wins
+                elif off != off:  # a marked pair
+                    raise FloatingPointError("overflow encountered in subtract")
+            else:
+                children.append((t, rows))
+        yield children
 
 
 def _subdivide_cell(cell: _Cell, net: Network, index: int, cfg, held: int,

@@ -330,9 +330,10 @@ def test_unit_rows_are_built_once_per_parent_cell(name, monkeypatch):
         return true_subdivide(cell, net, index, *args)
 
     def children(G, D):
-        table = true_children(G, D)
-        tables.append(len(table))
-        return table
+        tables.append(0)
+        for unit in true_children(G, D):
+            tables[-1] += 1
+            yield unit
 
     monkeypatch.setattr(regions, "_subdivide_cell", subdivide)
     monkeypatch.setattr(regions, "_unit_children", children)
@@ -493,14 +494,22 @@ def ref_maxout_children(G, D):
             yield t, rows
 
 
-def _children_bits(children) -> list:
-    return [[(state, [(np.asarray(row).tobytes(), np.float64(off).tobytes()) for row, off in rows])
-             for state, rows in unit] for unit in children]
+def _children_bits(units) -> list:
+    """Each unit's children as bytes, in turn; an overflow that ends the
+    units is the last item."""
+    bits = []
+    try:
+        for unit in units:
+            bits.append([(state, [(np.asarray(row).tobytes(), np.float64(off).tobytes())
+                                  for row, off in rows]) for state, rows in unit])
+    except FloatingPointError:
+        bits.append("overflow")
+    return bits
 
 
 @settings(max_examples=300, deadline=None)
-@given(rank=st.integers(1, 4), n0=st.integers(1, 4), fan=st.integers(1, 8),
-       width=st.integers(1, 8), kind=st.sampled_from(["normal", "integer", "1e160", "1e300"]),
+@given(rank=st.integers(1, 4), n0=st.integers(1, 4), fan=st.integers(1, 8), width=st.integers(1, 8),
+       kind=st.sampled_from(["normal", "integer", "1e160", "1e300", "1e308"]),
        seed=st.integers(0, 2**32 - 1))
 # n0 = 3: on these, under the generic kernel, a norm read away from the lone
 # row's alignment (a rectifier's in a slot, a maxout's off one) differs
@@ -512,25 +521,31 @@ def test_unit_rows_equal_the_per_row_references_bit_for_bit(rank, n0, fan, width
     the same row and offset bytes, on eight parent cells of one layer.
     Small integers give zero difference rows with negative, zero and
     positive offsets, and identical branches; the squares of rows of size
-    1e160 and 1e300 overflow and are rescaled.  Under OpenBLAS's generic
-    kernel this holds only if each norm reads its row at the alignment the
-    reference's lone norm reads it at."""
+    1e160 and 1e300 overflow and are rescaled; near 1e308 a maxout
+    difference may overflow, and then the same unit raises.  Under
+    OpenBLAS's generic kernel this holds only if each norm reads its row
+    at the alignment the reference's lone norm reads it at."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
-        return rng.integers(-1, 2, size=shape) * 1.0 if kind == "integer" else rng.normal(size=shape)
+        return (rng.integers(-1, 2, size=shape) * 1.0 if kind == "integer"
+                else rng.uniform(-1.0, 1.0, size=shape) if kind == "1e308" else rng.normal(size=shape))
 
     scale = (1.0 if kind == "integer" else 10.0 ** rng.integers(-3, 4) if kind == "normal"
-             else float(kind) / (4 * fan))  # a row of size about 1e160 or 1e300
-    units, b = scale * draw(width, rank, fan), draw(width, rank)
+             else float(kind) / (4 * fan) if kind != "1e308"  # rows of size about 1e160 or 1e300
+             else 1.7e308 / fan)  # entries below the largest float, differences not always
+    units, b = scale * draw(width, rank, fan), (scale if kind == "1e308" else 1.0) * draw(width, rank)
     for _ in range(8):
         A, c = draw(fan, n0), draw(fan)
         with np.errstate(over="raise"):  # as enumerate_regions runs them
-            G, D = units @ A, units @ c + b  # as _subdivide_cell stacks them
-            expected = [list(ref_rectifier_children(G[j, 0], float(D[j, 0])) if rank == 1
-                             else ref_maxout_children(G[j], D[j])) for j in range(width)]
-            got = regions._unit_children(G, D)
-        assert _children_bits(got) == _children_bits(expected)
+            try:
+                G, D = units @ A, units @ c + b  # as _subdivide_cell stacks them
+            except FloatingPointError:  # an overflowing map is no parent cell
+                assert kind == "1e308"
+                continue
+            expected = _children_bits(list(ref_rectifier_children(G[j, 0], float(D[j, 0])) if rank == 1
+                                           else ref_maxout_children(G[j], D[j])) for j in range(width))
+            assert _children_bits(regions._unit_children(G, D)) == expected
 
 
 def _enumeration_order(net, cfg, monkeypatch):
@@ -932,6 +947,32 @@ def test_huge_unit_rows_still_split(kind, w):
 def test_overflowing_map_names_its_layer(layers, where):
     with pytest.raises(EnumerationError, match=f"overflow at {where}"):
         enumerate_regions(Network(1, layers))
+
+
+# half the largest float, rounded up: X + X overflows
+_HALF_MAX = np.nextafter(np.finfo(float).max / 2, np.inf)
+
+
+def test_a_maxout_difference_no_branch_reads_may_overflow():
+    """Branch 2 reads branch 0 first, which beats it everywhere (their
+    rows differ by 1e296, zero against offset -1.5e308), and branch 3 reads
+    branch 1, which beats it, before either reads the other: their
+    difference, which overflows, is never a row, and the net enumerates."""
+    X = _HALF_MAX
+    layer = Layer([[-X + 1e296], [X - 1e296], [-X], [X]], [1.5e308, 1.5e308, 0.0, 0.0], maxout(4))
+    rs = enumerate_regions(Network(1, (layer,)), FeasibilityConfig(box_halfwidth=1e-3))
+    assert [r.pattern for r in rs.regions] == [((0,),), ((1,),)]
+
+
+def test_an_earlier_units_budget_comes_before_a_later_units_overflow():
+    """Units are cut one at a time, so unit 0 exhausts the budget before
+    unit 1's branch difference, which overflows, is read."""
+    layer = Layer([[1.0], [-1.0], [-_HALF_MAX], [_HALF_MAX]], [0.0] * 4, maxout(2))
+    net = Network(1, (layer,))
+    with pytest.raises(RegionBudgetError, match="layer 0, unit 0"):
+        enumerate_regions(net, FeasibilityConfig(box_halfwidth=1.0, region_cap=1))
+    with pytest.raises(EnumerationError, match="overflow at layer 0"):
+        enumerate_regions(net, FeasibilityConfig(box_halfwidth=1.0, region_cap=10))
 
 
 def _in_box(box, normals, offsets):
