@@ -7,16 +7,18 @@ the distinct maps a unit realizes over a sample set, and adjusts one of
 two points until a chosen unit outputs the same value at both — a probe
 demonstrating that the two surrounding regions are folded together.
 
-A probe point is walked once: the walk composes its map layer by layer
-with ``network._layer_step``, the step of ``pattern_affine``, and the last
-point's layer maps are kept (``_layer_maps``).  This is the one path from
-a point to its region's map: the unit maps, the clearance, the pair probe
-and ``region_map`` all read it.  Entry points take one finite point (n0,),
-or finite samples (m, n0), and raise ``ValueError`` otherwise.  A point is
-checked once, when it is walked; a call at the kept point compares its
-shape and float64 bytes only.  The kept maps are read-only, and the maps
-handed out are views of them, not copies.  A call's many points walk as
-one stack, whose items round as lone walks (see ``network._walk``).
+A probe point is walked once, by ``network.pattern_at`` or here, and kept
+(``network._point_steps``); its maps are composed onto that walk with
+``network._layer_step``, the step of ``pattern_affine``, when first read
+(``_layer_maps``).  This is the one path from a point to its region's map:
+the unit maps, the clearance, the pair probe and ``region_map`` all read
+it.  Entry points take one finite point (n0,), or finite samples (m, n0),
+and raise ``ValueError`` otherwise.  A point is checked once, when its maps
+are first composed, so a NaN point that ``pattern_at`` walked still raises;
+a call at the kept point compares its shape and float64 bytes only.  The
+kept maps are read-only, and the maps handed out are views of them, not
+copies.  A call's many points walk as one stack, whose items round as
+lone walks (see ``network._walk``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .network import (
     AffineMap,
     Network,
@@ -35,7 +38,6 @@ from .network import (
     _stack_slots,
     _walk,
     forward,
-    pattern_affine,
 )
 
 
@@ -54,32 +56,22 @@ def _checked_point(net: Network, x, name: str = "x") -> np.ndarray:
     return x
 
 
-# The last point walked: (net, its bytes, per layer (z, states, activations,
-# A, c)).  Holding the net keeps its id from being reused; one assignment
-# replaces the whole entry, so a reader never sees a mix of two points.
-_last: tuple | None = None
-
-
 def _layer_maps(net: Network, x) -> tuple:
     """Per layer at the point x: pre-activations, states, activations and
-    the read-only map (A, c) from the input to those activations.  Only the
-    last point's result is kept; another net object, another shape or other
-    float64 bytes of x miss, and x is checked (``_checked_point``) only
-    then: the kept point was finite when it was walked."""
-    global _last
+    the read-only map (A, c) from the input to those activations, composed
+    onto x's kept walk when first read; x is checked only then."""
     x = np.asarray(x, float)
-    last = _last
-    if (last is not None and last[0] is net and x.shape == (net.input_dim,)
-            and last[1] == x.tobytes()):
-        return last[2]
-    x = _checked_point(net, x)
+    owner, key, _, layers = network._kept
+    if owner is net and layers is not None and x.shape == (net.input_dim,) and key == x.tobytes():
+        return layers
+    _, key, steps, _ = network._point_steps(net, _checked_point(net, x))
     A, c = np.eye(net.input_dim), np.zeros(net.input_dim)
     layers = []
-    for layer, (z, s, h) in zip(net.layers, _walk(net, x)):
+    for layer, (z, s, h) in zip(net.layers, steps):
         A, c = _layer_step(layer, s, A, c)  # read-only
         layers.append((z, s, h, A, c))
     layers = tuple(layers)
-    _last = (net, x.tobytes(), layers)
+    network._kept = (net, key, steps, layers)
     return layers
 
 
@@ -102,7 +94,7 @@ def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
     """
     _check_unit(net, layer, unit)
     _, _, _, A, c = _layer_maps(net, x)[layer]
-    return AffineMap(A[unit:unit + 1], c[unit:unit + 1])
+    return AffineMap._of(A[unit:unit + 1], c[unit:unit + 1])
 
 
 def region_map(net: Network, x, readout: AffineMap | None = None) -> tuple[tuple, AffineMap]:
@@ -110,7 +102,7 @@ def region_map(net: Network, x, readout: AffineMap | None = None) -> tuple[tuple
     the last layer, after ``readout`` if one is given; read from x's walk."""
     layers = _layer_maps(net, x)
     _, _, _, A, c = layers[-1]
-    full = AffineMap(A[:], c[:])  # views, which cannot be made writeable
+    full = AffineMap._of(A[:], c[:])  # views, which cannot be made writeable
     return _pattern(layers), full if readout is None else readout.compose(full)
 
 
@@ -123,7 +115,7 @@ def _value_map(full: AffineMap, unit: int, readout: AffineMap | None) -> AffineM
     """Row ``unit`` of ``full``, after ``readout`` if one is given, as views."""
     if readout is not None:
         full = readout.compose(full)
-    return AffineMap(full.matrix[unit:unit + 1], full.offset[unit:unit + 1])
+    return AffineMap._of(full.matrix[unit:unit + 1], full.offset[unit:unit + 1])
 
 
 def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarray:
@@ -157,8 +149,9 @@ def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.nda
     _check_unit(net, layer, unit)
     x = _checked_point(net, x)
     n, step = len(x), 1e-6
-    Y = _stack_slots((2 * n,), n)
-    Y[:n, :, 0], Y[n:, :, 0] = x + step * np.eye(n), x - step * np.eye(n)
+    E, Y = step * np.eye(n), _stack_slots((2 * n,), n)
+    np.add(x, E, out=Y[:n, :, 0])
+    np.subtract(x, E, out=Y[n:, :, 0])
     H = next(itertools.islice(_walk(net, Y, states=False), layer, None))[2]
     return (H[:n, unit, 0] - H[n:, unit, 0]) / (2.0 * step)
 
@@ -180,10 +173,10 @@ def boundary_clearance(net: Network, x) -> float:
             pick = np.arange(layer.width) * k + s
             z = np.repeat(z[pick], k) - z
             G = np.repeat(G[pick], k, axis=0) - G
-        norms = np.sqrt(np.add.reduce(G * G, axis=1))  # np.linalg.norm's sum for real G
-        keep = norms > 1e-12
-        if keep.any():
-            best = min(best, float(np.min(np.abs(z[keep]) / norms[keep])))
+        norms = layer._row_norms if G is layer.weights else np.sqrt(np.add.reduce(G * G, axis=1))
+        # a row of norm <= 1e-12 never switches: inf, its quotient not taken
+        dist = np.divide(np.abs(z), norms, out=np.full(len(z), np.inf), where=norms > 1e-12)
+        best = min(best, float(dist.min()))
     return best
 
 
@@ -222,16 +215,21 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     H = steps[-1][2]  # a readout applies to each item as readout(h) does
     acts = (H if readout is None else readout.matrix @ H + readout.offset[:, None])[:, unit, 0]
     states = [S[..., 0] for _, S, _ in steps]  # (m, width) per layer
-    rows = _row_bytes(np.hstack(states))  # one dtype, so equal bytes: equal prefixes
+    S = np.hstack(states)  # one dtype, so equal bytes: equal prefixes
+    rows = _row_bytes(S)
+    ends = (np.cumsum([w.shape[1] for w in states]) * S.itemsize).tolist()
     pieces: list[UnitPiece] = []
     keys = np.empty((0, net.input_dim + 1))
-    # a prefix seen before fixes the same map, which matched a piece then
-    seen: set[bytes] = set()
+    composed: dict[bytes, tuple] = {}  # a prefix's layer step, by its row bytes (length: layer)
     for i in np.flatnonzero(acts > 0.0).tolist():
-        if rows[i] in seen:
+        if rows[i] in composed:  # a whole row seen before fixed a map matched then
             continue
-        seen.add(rows[i])
-        m = _value_map(pattern_affine(net, [S[i] for S in states]), unit, readout)
+        A, c = np.eye(net.input_dim), np.zeros(net.input_dim)
+        for at, end in enumerate(ends):
+            if (prefix := rows[i][:end]) not in composed:
+                composed[prefix] = _layer_step(net.layers[at], states[at][i], A, c)
+            A, c = composed[prefix]
+        m = _value_map(AffineMap._of(A, c), unit, readout)
         key = np.concatenate([m.matrix.ravel(), m.offset])
         if (np.abs(keys - key).max(axis=1) > tol).all():
             pieces.append(UnitPiece(m, X[i], float(acts[i])))
@@ -281,7 +279,7 @@ def find_identified_pair(net: Network, layer: int, unit: int, x1, x2,
     (a1, p1), (a2, p2) = tracked(l1), tracked(l2)
     if not (a1 > 0.0 and a2 > 0.0):  # a NaN value is not positive either
         raise ValueError("unit must be active (positive value) at both points")
-    m1, m2 = (_value_map(AffineMap(*layers[at][3:]), unit, readout) for layers in (l1, l2))
+    m1, m2 = (_value_map(AffineMap._of(*layers[at][3:]), unit, readout) for layers in (l1, l2))
     if p1 == p2:
         return IdentifiedPair(x2.copy(), m1, m2, True)
 

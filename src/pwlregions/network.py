@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -101,6 +102,10 @@ class Layer:
     @property
     def fan_in(self) -> int:
         return self.weights.shape[1]
+
+    @cached_property
+    def _row_norms(self) -> np.ndarray:  # summed as np.linalg.norm sums real rows
+        return np.sqrt(np.add.reduce(self.weights * self.weights, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +204,8 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
     docstring.  numpy's matmul runs a stack as one matrix-vector product
     per item, the product one point walks with, so each item equals its
     lone walk bit for bit: ``linmap`` walks a gradient's shifted points
-    and the unit pieces' samples as stacks.  A batch's matrix-matrix
+    and the unit pieces' samples as stacks.  ``_point_steps`` keeps one
+    point's steps for ``pattern_at`` and ``linmap``.  A batch's matrix-matrix
     products walk a large block faster, but their rounding can differ
     from one point's in the last bits.  Four callers walk batches:
 
@@ -256,9 +262,26 @@ def forward(net: Network, x: np.ndarray) -> list[np.ndarray]:
     return [H for _, _, H in _walk(net, x, states=False)]
 
 
+# The last point walked: (net, its float64 bytes, its walk steps, its layer maps
+# or None until ``linmap`` composes them).  Holding the net keeps its id unused.
+_kept: tuple = (None, None, (), None)
+
+
+def _point_steps(net: Network, x: np.ndarray) -> tuple:
+    """The kept entry of the float64 point ``x`` (n0,), unchecked; walked on a miss."""
+    global _kept
+    kept, key = _kept, x.tobytes()
+    if kept[0] is not net or kept[1] != key:
+        kept = _kept = (net, key, tuple(_walk(net, x)), None)
+    return kept
+
+
 def pattern_at(net: Network, x: np.ndarray) -> ActivationPattern:
-    """Activation pattern at ``x`` (rectifier bits / maxout branch indices)."""
-    return tuple(tuple(S.tolist()) for _, S, _ in _walk(net, x))
+    """Activation pattern at ``x`` (rectifier bits / maxout branch indices);
+    a point (n0,) reads its kept walk, another shape walks on its own."""
+    x = np.asarray(x, float)
+    steps = _point_steps(net, x)[2] if x.shape == (net.input_dim,) else _walk(net, x)
+    return tuple(tuple(S.tolist()) for _, S, _ in steps)
 
 
 def pattern_matrix(net: Network, X: np.ndarray) -> np.ndarray:
@@ -294,6 +317,13 @@ class AffineMap:
         object.__setattr__(self, "offset", _freeze(self.offset, 1))
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ValueError("matrix/offset shape mismatch")
+
+    @classmethod
+    def _of(cls, matrix: np.ndarray, offset: np.ndarray) -> "AffineMap":
+        """Unchecked: for read-only C-contiguous float64 (r, n), (r,) arrays made here."""
+        m = object.__new__(cls)
+        m.__dict__.update(matrix=matrix, offset=offset)
+        return m
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offset

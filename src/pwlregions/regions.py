@@ -517,13 +517,17 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         except FloatingPointError:
             raise EnumerationError(f"float overflow at layer {index}, "
                                    f"cell '{pattern_code(c.pattern)}'") from None
-
-    # each map against one batch forward pass at its witness; rounding in
-    # both grows with the magnitude of the terms summed, as the bound does
-    X = np.array([c.witness for c, _, _ in cells])
+        # each map against one batch forward pass at its witness; rounding in
+        # both grows with the magnitude of the terms summed, as the bound does
+        X = np.array([c.witness for c, _, _ in cells])
+        try:
+            H = forward(net, X)[-1]
+        except FloatingPointError:
+            raise EnumerationError("float overflow in the drift check's forward pass") from None
+    # not the bound's scale, which may overflow to inf and then accept a finite drift
     As, Cs = np.array([A for _, A, _ in cells]), np.array([c0 for _, _, c0 in cells])
     scale = np.abs(Cs).max(axis=1) + np.abs(As).sum(axis=2).max(axis=1) * np.abs(X).max(axis=1)
-    drift = np.abs((As @ X[..., None])[..., 0] + Cs - forward(net, X)[-1].T).max(axis=1)
+    drift = np.abs((As @ X[..., None])[..., 0] + Cs - H.T).max(axis=1)
     failed = ~(drift <= 1e-9 * np.maximum(1.0, scale))  # a NaN drift fails too
     if failed.any():
         i = int(failed.argmax())

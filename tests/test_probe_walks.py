@@ -89,7 +89,7 @@ def test_pair_and_box_probes_read_the_walk_and_compose_nothing_again(monkeypatch
         raise AssertionError("pattern_affine called")
 
     monkeypatch.setattr(network, "pattern_affine", refuse)
-    monkeypatch.setattr(linmap, "pattern_affine", refuse)
+    assert "pattern_affine" not in vars(linmap)
     con = build_abs_net()
     for x2 in ([-0.9, 0.2], [0.5, -0.4], [0.6, 0.3]):  # x1's own region last
         find_identified_pair(con.network, 0, 0, [0.7, 0.2], x2, readout=con.readout)
@@ -99,29 +99,62 @@ def test_pair_and_box_probes_read_the_walk_and_compose_nothing_again(monkeypatch
 
 def test_boundary_clearance_composes_as_it_walks(walks, monkeypatch):
     calls = [0]
-    inner = linmap.pattern_affine
+    inner = network.pattern_affine
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(linmap, "pattern_affine", counted)
+    monkeypatch.setattr(network, "pattern_affine", counted)
     net = _random_net(np.random.default_rng(1), ACT_RECTIFIER, (3, 3, 3))
     boundary_clearance(net, np.array([0.3, -0.4]))
     assert calls[0] == 0
     assert walks[0] == 1
 
 
-def test_every_unit_map_and_activation_and_the_clearance_cost_one_walk(walks):
-    # 2*U + 1 walks before the walk composed and kept the point's layer maps
+def test_every_unit_map_and_activation_and_the_clearance_cost_one_walk(walks, steps):
+    # 2*U + 2 walks before the probe walk composed and kept its layer maps,
+    # and 2 before pattern_at read that walk
     net = _random_net(np.random.default_rng(2), ACT_RECTIFIER, (4, 3, 2))
     x = np.array([0.4, -0.7])
+    assert pattern_at(net, x) == ref_pattern(net, x)
     for layer in range(net.depth):
         for unit in range(net.layers[layer].width):
             unit_linear_map(net, layer, unit, x)
             unit_activation(net, layer, unit, x)
     boundary_clearance(net, x)
-    assert walks[0] == 1
+    assert pattern_at(net, x) == ref_pattern(net, x)
+    assert walks[0] == 1 + 2  # x, then the two references
+    assert steps[0] == net.depth
+
+
+def test_a_non_finite_point_walked_by_pattern_at_still_raises(walks):
+    net = _random_net(np.random.default_rng(13), maxout(2), (3, 2))
+    for bad in ([np.nan, 0.5], [0.5, -np.inf]):
+        with np.errstate(invalid="ignore"):  # inf * 0 in the walk
+            pattern_at(net, bad)
+        assert walks[0] == 1
+        for call in (lambda y: unit_linear_map(net, 0, 0, y),
+                     lambda y: unit_activation(net, 0, 0, y),
+                     lambda y: boundary_clearance(net, y), lambda y: region_map(net, y)):
+            with pytest.raises(ValueError, match=r"x must be a finite point of shape \(2,\), got "):
+                call(bad)
+        walks[0] = 0
+
+
+def test_a_batch_passed_to_pattern_at_leaves_the_kept_point(walks):
+    net = _random_net(np.random.default_rng(14), ACT_RECTIFIER, (3, 3))
+    x = np.array([0.3, -0.6])
+    want = _reference_results(net, x)
+    walks[0] = 0
+    unit_linear_map(net, 0, 0, x)
+    batch = np.array([x, -x, 2 * x])
+    for X in (batch, x[None, :], batch.reshape(3, 2, 1)):
+        pattern_at(net, X)
+    assert walks[0] == 4  # x, then each batch as it is
+    assert _all_unit_results(net, x) == want
+    assert pattern_at(net, x) == ref_pattern(net, x)
+    assert walks[0] == 4 + 1  # the reference
 
 
 @pytest.fixture()
@@ -165,6 +198,21 @@ def test_identified_pair_composes_no_map_for_the_adjusted_point(steps, name):
         for g, w in ((got.map1, want.map1), (got.map2, want.map2)):
             assert (g.matrix.tobytes(), g.offset.tobytes()) == \
                 (w.matrix.tobytes(), w.offset.tobytes())
+
+
+def test_unit_pieces_step_each_distinct_layer_prefix_once(steps):
+    # was one composition from the input, depth steps, for each distinct whole prefix
+    rng = np.random.default_rng(15)
+    net = _random_net(rng, (ACT_RECTIFIER, maxout(2), ACT_RECTIFIER), (4, 3, 3))
+    X = rng.uniform(-2.0, 2.0, size=(200, 2))
+    walked = [list(network._walk(net, x)) for x in X]
+    for unit in range(3):
+        positive = [w for w in walked if w[-1][2][unit] > 0.0]
+        want = sum(len({tuple(s for _, S, _ in w[:at + 1] for s in S.tolist()) for w in positive})
+                   for at in range(net.depth))
+        steps[0] = 0
+        assert enumerate_unit_pieces(net, 2, unit, X)
+        assert steps[0] == want < len(positive) * net.depth
 
 
 def test_unit_maps_compose_each_layer_once(steps):
@@ -328,9 +376,13 @@ def ref_tracked_map(net, unit, prefix, readout):
     return AffineMap(full.matrix[unit:unit + 1].copy(), full.offset[unit:unit + 1].copy())
 
 
+def ref_pattern(net, x):
+    return tuple(tuple(S.tolist()) for _, S, _ in network._walk(net, np.asarray(x, float)))
+
+
 def ref_unit_linear_map(net, layer, unit, x):
     _check_unit(net, layer, unit)
-    pattern = pattern_at(net, np.asarray(x, float))
+    pattern = ref_pattern(net, x)  # not pattern_at, which would fill the kept point
     return ref_tracked_map(net, unit, pattern[:layer + 1], None)
 
 

@@ -856,11 +856,12 @@ def test_drift_check_catches_a_wrong_map(monkeypatch):
         enumerate_regions(three_lines_net())
 
 
-def test_drift_check_fails_on_nan():
-    # the map and forward both overflow to inf at the witness: inf - inf
-    net = Network(2, (Layer([[1e308, 1e308]], [0.0]),))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(EnumerationError, match=r"drifted \(nan\) on region 1$"):
+def test_drift_check_fails_on_nan(monkeypatch):
+    # no comparison with a NaN drift holds; an overflowing forward pass, which
+    # made one, is refused before it (test_an_overflowing_forward_pass_...)
+    net = Network(2, (Layer([[1.0, 1.0]], [0.0]),))
+    monkeypatch.setattr(regions, "forward", lambda net, X: [np.full((1, len(X)), np.nan)])
+    with pytest.raises(EnumerationError, match=r"drifted \(nan\) on region [01]$"):
         enumerate_regions(net)
 
 
@@ -973,6 +974,21 @@ def test_an_earlier_units_budget_comes_before_a_later_units_overflow():
         enumerate_regions(net, FeasibilityConfig(box_halfwidth=1.0, region_cap=1))
     with pytest.raises(EnumerationError, match="overflow at layer 0"):
         enumerate_regions(net, FeasibilityConfig(box_halfwidth=1.0, region_cap=10))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("net, half", [
+    # the map and forward both overflow to inf at the witness
+    (Network(2, (Layer([[1e308, 1e308]], [0.0]),)), 1e3),
+    # the maps are finite; only forward's branch 0 overflows at a witness
+    (Network(1, (Layer([[-_HALF_MAX + 1e296], [_HALF_MAX - 1e296], [-_HALF_MAX], [_HALF_MAX]],
+                       [1.5e308, 1.5e308, 0.0, 0.0], maxout(4)),)), 1.0),
+], ids=["map-and-forward", "forward-only"])
+def test_an_overflowing_forward_pass_is_a_float_overflow(net, half):
+    """The drift check's forward pass runs under the enumerator's overflow
+    rule: an ``EnumerationError``, no warnings and no drift of NaN."""
+    with pytest.raises(EnumerationError, match="^float overflow in the drift check's forward"):
+        enumerate_regions(net, FeasibilityConfig(box_halfwidth=half))
 
 
 def _in_box(box, normals, offsets):
