@@ -10,15 +10,16 @@ demonstrating that the two surrounding regions are folded together.
 A probe point is walked once, by ``network.pattern_at`` or here, and kept
 (``network._point_steps``); its maps are composed onto that walk with
 ``network._layer_step``, the step of ``pattern_affine``, when first read
-(``_layer_maps``).  This is the one path from a point to its region's map:
-the unit maps, the clearance, the pair probe and ``region_map`` all read
-it.  Entry points take one finite point (n0,), or finite samples (m, n0),
-and raise ``ValueError`` otherwise.  A point is checked once, when its maps
-are first composed, so a NaN point that ``pattern_at`` walked still raises;
-a call at the kept point compares its shape and float64 bytes only.  The
-kept maps are read-only, and the maps handed out are views of them, not
-copies.  A call's many points walk as one stack, whose items round as
-lone walks (see ``network._walk``).
+(``_layer_maps``).  The step trusts the states the walk made and checks
+none; a pattern from outside is checked by ``pattern_affine``.  This is the
+one path from a point to its region's map: the unit maps, the clearance,
+the pair probe and ``region_map`` all read it.  Entry points take one
+finite point (n0,), or finite samples (m, n0), and raise ``ValueError``
+otherwise.  A point is checked once, when its maps are first composed, so
+a NaN point that ``pattern_at`` walked still raises; a call at the kept
+point compares its shape and float64 bytes only.  The kept maps are
+read-only, and the maps handed out are views of them, not copies.  A
+call's many points walk as one stack, whose items round as lone walks.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _layer_maps(net: Network, x) -> tuple:
     if owner is net and layers is not None and x.shape == (net.input_dim,) and key == x.tobytes():
         return layers
     _, key, steps, _ = network._point_steps(net, _checked_point(net, x))
-    A, c = np.eye(net.input_dim), np.zeros(net.input_dim)
+    A, c = network._origin(net.input_dim)
     layers = []
     for layer, (z, s, h) in zip(net.layers, steps):
         A, c = _layer_step(layer, s, A, c)  # read-only
@@ -149,7 +150,7 @@ def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.nda
     _check_unit(net, layer, unit)
     x = _checked_point(net, x)
     n, step = len(x), 1e-6
-    E, Y = step * np.eye(n), _stack_slots((2 * n,), n)
+    E, Y = network._origin(n, step)[0], _stack_slots((2 * n,), n)
     np.add(x, E, out=Y[:n, :, 0])
     np.subtract(x, E, out=Y[n:, :, 0])
     H = next(itertools.islice(_walk(net, Y, states=False), layer, None))[2]
@@ -170,7 +171,7 @@ def boundary_clearance(net: Network, x) -> float:
         k = layer.activation.rank
         if k > 1:
             # the selected branch against every branch of its unit
-            pick = np.arange(layer.width) * k + s
+            pick = layer._branch_rows + s
             z = np.repeat(z[pick], k) - z
             G = np.repeat(G[pick], k, axis=0) - G
         norms = layer._row_norms if G is layer.weights else np.sqrt(np.add.reduce(G * G, axis=1))
@@ -224,7 +225,7 @@ def enumerate_unit_pieces(net: Network, layer: int, unit: int, samples,
     for i in np.flatnonzero(acts > 0.0).tolist():
         if rows[i] in composed:  # a whole row seen before fixed a map matched then
             continue
-        A, c = np.eye(net.input_dim), np.zeros(net.input_dim)
+        A, c = network._origin(net.input_dim)
         for at, end in enumerate(ends):
             if (prefix := rows[i][:end]) not in composed:
                 composed[prefix] = _layer_step(net.layers[at], states[at][i], A, c)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import IO, Sequence
 
 import numpy as np
@@ -95,9 +95,15 @@ class Layer:
         if not np.isfinite(self.weights).all() or not np.isfinite(self.bias).all():
             raise ValueError("non-finite layer parameters")
 
-    @property
+    @cached_property
     def width(self) -> int:
         return self.weights.shape[0] // self.activation.rank
+
+    @cached_property
+    def _branch_rows(self) -> np.ndarray:  # read-only: each unit's branch-0 row
+        rows = np.arange(0, self.weights.shape[0], self.activation.rank)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def fan_in(self) -> int:
@@ -331,8 +337,37 @@ class AffineMap:
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner: x -> self(inner(x))."""
         A, c = self.matrix @ inner.matrix, self.matrix @ inner.offset + self.offset
-        A.flags.writeable = c.flags.writeable = False  # made here: no copy
-        return AffineMap(A, c)
+        A.flags.writeable = c.flags.writeable = False
+        return AffineMap._of(A, c)
+
+
+@lru_cache(maxsize=8)
+def _origin(n0: int, step: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only map (step I, 0), made once per (n0, step): (I, 0) starts
+    every composition, and a central difference shifts a point by step I."""
+    return _freeze(step * np.eye(n0), 2), _freeze(np.zeros(n0), 1)
+
+
+def _checked_states(layer: Layer, layer_pattern) -> np.ndarray:
+    """A pattern from outside as states; a stack raises as its first bad pattern."""
+    k = layer.activation.rank
+    P = np.asarray(layer_pattern, float if k == 1 else None)
+    if P.shape[-1] != layer.width:
+        raise ValueError("pattern length does not match layer width")
+    if k > 1 and P.size and not (0 <= P.min() and P.max() < k):
+        first = tuple(np.argwhere((P < 0) | (P >= k))[0])  # in a stack's first bad pattern
+        raise ValueError(f"branch index {P[first]} out of range for unit {first[-1]}")
+    return P
+
+
+def _select(layer: Layer, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``layer_selection`` of a states array the package made, unchecked; a
+    rectifier's weights times its integer states, which numpy casts exactly."""
+    if layer.activation.rank == 1:
+        sel = P[..., None]
+        return layer.weights * sel, layer.bias * sel[..., 0]
+    rows = layer._branch_rows + P
+    return layer.weights.take(rows, 0), layer.bias.take(rows)
 
 
 def layer_selection(layer: Layer, layer_pattern) -> tuple[np.ndarray, np.ndarray]:
@@ -340,31 +375,22 @@ def layer_selection(layer: Layer, layer_pattern) -> tuple[np.ndarray, np.ndarray
 
     Inactive rectifier rows become zero rows; maxout keeps the selected
     branch row per unit.  A stack of patterns, an (m, width) array, gives m
-    stacked selections; it raises as its first bad pattern does alone."""
-    k = layer.activation.rank
-    P = np.asarray(layer_pattern, float if k == 1 else None)
-    if P.shape[-1] != layer.width:
-        raise ValueError("pattern length does not match layer width")
-    if k == 1:
-        sel = P[..., None]
-        return layer.weights * sel, layer.bias * sel[..., 0]
-    if P.size and not (0 <= P.min() and P.max() < k):
-        first = tuple(np.argwhere((P < 0) | (P >= k))[0])  # in a stack's first bad pattern
-        raise ValueError(f"branch index {P[first]} out of range for unit {first[-1]}")
-    rows = np.arange(0, layer.width * k, k) + P
-    return layer.weights.take(rows, 0), layer.bias.take(rows)
+    stacked selections.  The pattern comes from outside: its length and
+    branch indices are checked here, and ``_select`` alone is trusted."""
+    return _select(layer, _checked_states(layer, layer_pattern))
 
 
-def _layer_step(layer: Layer, layer_pattern,
+def _layer_step(layer: Layer, states: np.ndarray,
                 A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The map x -> A x + c carried through one more layer whose pattern
-    is fixed: ``(W A, W c + b)``, read-only, with ``(W, b)`` the layer's
-    selection.  This is the one composition rule: ``pattern_affine``, the
-    probe walk of ``linmap`` and the enumerator, which steps a cell's
-    children on the stack of their patterns, compose with it, so their maps
-    agree bit for bit: numpy's matmul runs each item of a stack as it runs
-    the lone product."""
-    W, b = layer_selection(layer, layer_pattern)
+    """The map x -> A x + c carried through one more layer whose states are
+    fixed: ``(W A, W c + b)``, read-only, ``(W, b)`` from ``_select``, which
+    trusts the states: the walk's int8 or intp arrays, the enumerator's int64
+    stacks, or patterns ``pattern_affine`` checked.  This is the one
+    composition rule: ``pattern_affine``, the probe walk of ``linmap`` and the
+    enumerator, which steps a cell's children on the stack of their states,
+    compose with it, so their maps agree bit for bit: numpy's matmul runs
+    each item of a stack as it runs the lone product."""
+    W, b = _select(layer, states)
     A, c = W @ A, W @ c + b
     A.flags.writeable = c.flags.writeable = False
     return A, c
@@ -372,12 +398,12 @@ def _layer_step(layer: Layer, layer_pattern,
 
 def pattern_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
     """Affine map input -> activations of the last layer a fixed pattern
-    covers; a prefix of a pattern covers the first ``len(prefix)`` layers."""
-    A = np.eye(net.input_dim)
-    c = np.zeros(net.input_dim)
+    covers; a prefix of a pattern covers the first ``len(prefix)`` layers.
+    Each layer's pattern is checked as ``layer_selection`` checks it."""
+    A, c = _origin(net.input_dim)
     for layer, lp in zip(net.layers, pattern):
-        A, c = _layer_step(layer, lp, A, c)
-    return AffineMap(A, c)
+        A, c = _layer_step(layer, _checked_states(layer, lp), A, c)
+    return AffineMap._of(A, c)
 
 
 # ---------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
         raise ValueError("enumeration supports input dimension <= 4")
     box = cfg.resolved_box(n0)
 
-    cells = [(_root_cell(box), np.eye(n0), np.zeros(n0))]  # (cell, A, c)
+    cells = [(_root_cell(box), *network._origin(n0))]  # (cell, A, c)
     with np.errstate(over="raise"):  # an overflowing map is an error, not an inf
         try:
             for index in range(net.depth):
@@ -524,17 +524,20 @@ def enumerate_regions(net: Network, cfg: FeasibilityConfig | None = None) -> Reg
             H = forward(net, X)[-1]
         except FloatingPointError:
             raise EnumerationError("float overflow in the drift check's forward pass") from None
-    # not the bound's scale, which may overflow to inf and then accept a finite drift
     As, Cs = np.array([A for _, A, _ in cells]), np.array([c0 for _, _, c0 in cells])
-    scale = np.abs(Cs).max(axis=1) + np.abs(As).sum(axis=2).max(axis=1) * np.abs(X).max(axis=1)
-    drift = np.abs((As @ X[..., None])[..., 0] + Cs - H.T).max(axis=1)
-    failed = ~(drift <= 1e-9 * np.maximum(1.0, scale))  # a NaN drift fails too
+    with np.errstate(all="ignore"):  # a map or bound that overflows has its own verdict
+        scale = np.abs(Cs).max(axis=1) + np.abs(As).sum(axis=2).max(axis=1) * np.abs(X).max(axis=1)
+        mapped = (As @ X[..., None])[..., 0] + Cs
+        drift = np.abs(mapped - H.T).max(axis=1)
+    over = ~np.isfinite(np.column_stack([mapped, scale])).all(axis=1)
+    failed = over | ~(drift <= 1e-9 * np.maximum(1.0, scale))  # a NaN drift fails too
     if failed.any():
         i = int(failed.argmax())
-        raise EnumerationError(f"affine map drifted ({drift[i]:.2e}) "
-                               f"on region {pattern_code(cells[i][0].pattern)}")
+        what = ("float overflow in the drift check" if over[i]
+                else f"affine map drifted ({drift[i]:.2e})")
+        raise EnumerationError(f"{what} on region {pattern_code(cells[i][0].pattern)}")
     regions = [Region(normals=np.array(c.normals), offsets=np.array(c.offsets),
-                      pattern=tuple(c.pattern), affine=network.AffineMap(A, c0),
+                      pattern=tuple(c.pattern), affine=network.AffineMap._of(A, c0),
                       witness=np.asarray(c.witness, float), vertices=c.vertices, tight=c.tight)
                for c, A, c0 in cells]
     regions.sort(key=lambda r: r.pattern)

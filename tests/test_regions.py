@@ -117,13 +117,13 @@ def test_region_cap(monkeypatch):
     # the abs net's one layer makes 4 cells; the cap stops it at the third,
     # before the layer finishes and a child's map is stepped through it
     finished = []
-    true_selection = network.layer_selection
+    true_selection = network._select  # the selection every layer step runs
 
     def selection(layer, states):
         finished.append(states)
         return true_selection(layer, states)
 
-    monkeypatch.setattr(network, "layer_selection", selection)
+    monkeypatch.setattr(network, "_select", selection)
     with pytest.raises(RegionBudgetError) as err:
         enumerate_regions(build_abs_net().network, FeasibilityConfig(region_cap=2))
     assert err.value.cap == 2
@@ -387,18 +387,29 @@ def _bits(*arrays) -> list[bytes]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(rank=st.integers(1, 4), n0=st.integers(1, 4), fan=st.integers(1, 16),
+@given(rank=st.sampled_from([1, 2, 3, 4, 129]), n0=st.integers(1, 4), fan=st.integers(1, 16),
        width=st.integers(1, 6), stack=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, stack, seed):
     """The enumerator stacks each cell's unit rows, its children's layer
     steps and its regions' maps at their witnesses, and linmap walks a
     call's points as one stack; every item must be the lone product or
-    walk bit for bit.  A stack of patterns raises the error of its first
-    bad pattern alone."""
+    walk bit for bit.  ``_layer_step`` trusts its states: on the walk's
+    int8 (intp above rank 128) states and the enumerator's int64 stacks it
+    equals the checked ``layer_selection`` of the pattern as a tuple and
+    the same two products.  A stack of patterns raises the error of its
+    first bad pattern alone, and ``pattern_affine`` raises it too."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-3, 4)
-    layer = Layer(scale * rng.normal(size=(rank * width, fan)), rng.normal(size=rank * width),
+    weights = scale * rng.normal(size=(rank * width, fan))
+    weights[rng.random(size=weights.shape) < 0.2] = -0.0
+    layer = Layer(weights, rng.normal(size=rank * width),
                   ACT_RECTIFIER if rank == 1 else maxout(rank))
+    # the constants made once: the width, each unit's branch-0 row, (I, 0), the shifts
+    assert layer.width == vars(layer)["width"] == width
+    assert layer._branch_rows.tolist() == list(range(0, rank * width, rank))
+    origin, shifts = network._origin(n0), network._origin(n0, 1e-6)[0]
+    assert _bits(*origin, shifts) == _bits(np.eye(n0), np.zeros(n0), 1e-6 * np.eye(n0))
+    assert not any(a.flags.writeable for a in (layer._branch_rows, *origin, shifts))
     A, c = rng.normal(size=(fan, n0)), scale * rng.normal(size=fan)
     # unit rows and offsets, as _subdivide_cell stacks them
     W, b = layer.weights, layer.bias
@@ -415,10 +426,19 @@ def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, 
     assert As.shape == (stack, width, n0) and Cs.shape == (stack, width)
     X = rng.normal(size=(stack, n0))
     mapped = (As @ X[..., None])[..., 0] + Cs  # the drift check's maps at the witnesses
+    walked_dtype = np.int8 if rank <= 128 else np.intp
+    one = Network(fan, (layer,))
     for i, pattern in enumerate(P.tolist()):
-        Ai, ci = network._layer_step(layer, tuple(pattern), A, c)
-        assert _bits(As[i], Cs[i]) == _bits(Ai, ci)
+        Wi, bi = network.layer_selection(layer, tuple(pattern))  # checked
+        rows = [j * rank + s for j, s in enumerate(pattern)]  # the selection, row by row
+        assert _bits(Wi, bi) == (_bits(W * P[i, :, None], b * P[i]) if rank == 1
+                                 else _bits(W[rows], b[rows]))
+        Ai, ci = network._layer_step(layer, P[i].astype(walked_dtype), A, c)
+        assert _bits(As[i], Cs[i]) == _bits(Ai, ci) == _bits(Wi @ A, Wi @ c + bi)
         assert _bits(mapped[i]) == _bits(AffineMap(Ai, ci)(X[i]))
+        from_input = network.pattern_affine(one, (tuple(pattern),))
+        assert _bits(from_input.matrix, from_input.offset) == \
+            _bits(*network._layer_step(layer, P[i], *network._origin(fan)))
 
     # a stack of points (stack, n0, 1) walked against each point alone; small
     # integers give exact zero pre-activations and tied maxout branches, and
@@ -435,24 +455,35 @@ def test_stacked_products_equal_the_lone_ones_bit_for_bit(rank, n0, fan, width, 
     points[rng.random(size=points.shape) < 0.3] = -0.0
     walked = list(network._walk(net, points[..., None]))
     for i, x in enumerate(points):
-        for (Z, S, H), (z, s, h) in zip(walked, network._walk(net, x), strict=True):
+        Ax, cx = origin  # x's map, stepped on the states its walk made
+        for lay, (Z, S, H), (z, s, h) in zip(net.layers, walked, network._walk(net, x),
+                                             strict=True):
             assert Z.shape[::2] == S.shape[::2] == H.shape[::2] == (stack, 1)
             assert (Z[i, :, 0].tobytes(), H[i, :, 0].tobytes()) == (z.tobytes(), h.tobytes())
-            assert S.dtype == s.dtype and S[i, :, 0].tobytes() == s.tobytes()
+            assert S.dtype == s.dtype == (np.int8 if lay.activation.rank <= 128 else np.intp)
+            assert S[i, :, 0].tobytes() == s.tobytes()
+            Ws, bs = network.layer_selection(lay, tuple(s.tolist()))
+            want = _bits(Ws @ Ax, Ws @ cx + bs)
+            Ax, cx = network._layer_step(lay, s, Ax, cx)
+            assert _bits(Ax, cx) == want
 
-    def error(pattern):
+    def error(pattern, select=network.layer_selection):
         with pytest.raises(ValueError) as err:
-            network.layer_selection(layer, pattern)
+            select(layer, pattern)
         return str(err.value)
+
+    def from_input(_, pattern):
+        return network.pattern_affine(one, (pattern,))
 
     longer = np.hstack([P, P[:, :1]])
     assert error(longer) == error(tuple(longer[0].tolist())) == \
-        "pattern length does not match layer width"
+        error(tuple(longer[0].tolist()), from_input) == "pattern length does not match layer width"
     if rank > 1:
         bad, first = P.copy(), rng.integers(stack)
         bad[first, rng.integers(width)] = rank  # the patterns after it are bad too
         bad[first + 1:, rng.integers(width)] = -1
-        assert error(bad) == error(tuple(bad[first].tolist()))
+        assert error(bad) == error(tuple(bad[first].tolist())) == \
+            error(tuple(bad[first].tolist()), from_input)
         assert error(bad).startswith("branch index ")
 
 
@@ -845,13 +876,13 @@ def test_drift_check_scales_with_magnitude():
 
 def test_drift_check_catches_a_wrong_map(monkeypatch):
     # every composed map off by a relative 1e-6 must still be refused
-    true_selection = network.layer_selection
+    true_selection = network._select  # the selection every layer step runs
 
     def skewed(layer, states):
         W, b = true_selection(layer, states)
         return W * (1 + 1e-6), b * (1 + 1e-6)
 
-    monkeypatch.setattr(network, "layer_selection", skewed)
+    monkeypatch.setattr(network, "_select", skewed)
     with pytest.raises(EnumerationError, match="drifted"):
         enumerate_regions(three_lines_net())
 
@@ -989,6 +1020,17 @@ def test_an_overflowing_forward_pass_is_a_float_overflow(net, half):
     rule: an ``EnumerationError``, no warnings and no drift of NaN."""
     with pytest.raises(EnumerationError, match="^float overflow in the drift check's forward"):
         enumerate_regions(net, FeasibilityConfig(box_halfwidth=half))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_map_that_overflows_at_its_witness_is_a_float_overflow():
+    """Forward is finite at every witness, but region 1|1's map and drift
+    bound overflow at its witness, where ``inf <= 1e-9 * inf`` would hold:
+    an ``EnumerationError`` naming the region, with no warning."""
+    net = Network(1, (Layer([[1e305]], [-5e307]), Layer([[3.0]], [0.0])))
+    with pytest.raises(EnumerationError,
+                       match=r"^float overflow in the drift check on region 1\|1$"):
+        enumerate_regions(net)
 
 
 def _in_box(box, normals, offsets):
