@@ -49,12 +49,10 @@ class IdentificationError(RuntimeError):
 def _checked_point(net: Network, x, name: str = "x") -> np.ndarray:
     """``x`` as a float array; it must be one finite point of shape (n0,)."""
     x = np.asarray(x, float)
-    want = f"{name} must be a finite point of shape ({net.input_dim},)"
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"{want}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{want}, got {x.tolist()}")
-    return x
+    if x.shape == (net.input_dim,) and all(map(math.isfinite, x.tolist())):
+        return x
+    got = f"shape {x.shape}" if x.shape != (net.input_dim,) else x.tolist()
+    raise ValueError(f"{name} must be a finite point of shape ({net.input_dim},), got {got}")
 
 
 def _layer_maps(net: Network, x) -> tuple:
@@ -134,7 +132,7 @@ def output_values(net: Network, x, readout: AffineMap | None = None) -> np.ndarr
 def _check_unit(net: Network, layer: int, unit: int,
                 readout: AffineMap | None = None) -> None:
     """``unit`` indexes the units of ``layer``, or the rows of ``readout``."""
-    if not 0 <= layer < net.depth:
+    if not 0 <= layer < len(net.layers):
         raise IndexError(f"layer {layer} out of range")
     if readout is None and not 0 <= unit < net.layers[layer].width:
         raise IndexError(f"unit {unit} out of range")
@@ -162,22 +160,25 @@ def boundary_clearance(net: Network, x) -> float:
     input-space unit normals.  Infinite when no unit ever switches.
 
     Reads x's kept layer maps: the pre-activations, the states and the
-    linear part below each layer."""
-    below = None  # linear part of input -> the layer below, on x's region; None: identity
-    best = np.inf
-    for layer, (z, s, _, A, _) in zip(net.layers, _layer_maps(net, x)):
-        G = layer.weights if below is None else layer.weights @ below  # input-space rows
-        below = A
+    linear part below each layer.  First-layer norms are made once per
+    layer; rows whose squares overflow are normed scaled (``network._norms``)."""
+    zs, rows, norms, maps = [], [], [], _layer_maps(net, x)
+    for i, (layer, (z, s, *_)) in enumerate(zip(net.layers, maps)):
         k = layer.activation.rank
-        if k > 1:
-            # the selected branch against every branch of its unit
-            pick = layer._branch_rows + s
-            z = np.repeat(z[pick], k) - z
-            G = np.repeat(G[pick], k, axis=0) - G
-        norms = layer._row_norms if G is layer.weights else np.sqrt(np.add.reduce(G * G, axis=1))
-        # a row of norm <= 1e-12 never switches: inf, its quotient not taken
-        dist = np.divide(np.abs(z), norms, out=np.full(len(z), np.inf), where=norms > 1e-12)
-        best = min(best, float(dist.min()))
+        pick = layer._branch_rows + s if k > 1 else None  # the selected branch per unit
+        if i == 0:
+            norms.append(layer._row_norms if k == 1 else layer._pair_norms.take(pick, 0).ravel())
+        else:
+            G = layer.weights @ maps[i - 1][3]  # input-space rows
+            rows.append(G if k == 1 else np.repeat(G[pick], k, axis=0) - G)
+            norms.append(np.sqrt(np.add.reduce(rows[-1] * rows[-1], axis=1)))
+        zs.append(z if k == 1 else np.repeat(z[pick], k) - z)
+    z = np.abs(np.concatenate(zs))
+    def nearest(n):  # a norm <= 1e-12: inf, its quotient not taken
+        return float(np.divide(z, n, out=np.full(len(z), np.inf), where=n > 1e-12).min())
+    best = nearest(np.concatenate(norms))
+    if not best > 0.0 and rows:  # 0 or NaN: maybe a deeper row's squares overflowed
+        best = nearest(np.concatenate(norms[:1] + [network._norms(G) for G in rows]))
     return best
 
 

@@ -109,9 +109,25 @@ class Layer:
     def fan_in(self) -> int:
         return self.weights.shape[1]
 
+    _bias_column = cached_property(lambda self: self.bias[:, None])  # read-only (rows, 1)
+    _row_norms = cached_property(lambda self: _norms(self.weights))
+
     @cached_property
-    def _row_norms(self) -> np.ndarray:  # summed as np.linalg.norm sums real rows
-        return np.sqrt(np.add.reduce(self.weights * self.weights, axis=1))
+    def _pair_norms(self) -> np.ndarray:  # (rows, k): [j*k+s, t] = |row j*k+s - row j*k+t|
+        U = self.weights.reshape(self.width, -1, 1, self.fan_in)
+        return _norms((U - U.swapaxes(1, 2)).reshape(-1, self.fan_in)).reshape(len(self.bias), -1)
+
+
+def _norms(G: np.ndarray) -> np.ndarray:
+    """Each row's read-only 2-norm, summed as np.linalg.norm sums real rows; a
+    finite row whose squares overflow is scaled by its largest entry, as dnrm2 is."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(G * G, axis=1))
+        for i in np.flatnonzero(np.isinf(norms)).tolist():
+            if (top := np.abs(G[i]).max()) < np.inf:
+                norms[i] = top * np.linalg.norm(G[i] / top)
+    norms.setflags(write=False)
+    return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +255,8 @@ def _walk(net: Network, X: np.ndarray, states: bool = True):
     ax = X.ndim // 3        # the axis of a point's values: 1 in a stack, else 0
     for layer in net.layers:
         # a batch's and a stack's values are columns
-        Z = layer.weights @ H + (layer.bias[:, None] if H.ndim > 1 else layer.bias)
+        Z = layer.weights @ H
+        Z += layer._bias_column if H.ndim > 1 else layer.bias
         k = layer.activation.rank
         S = None
         out = _stack_slots((len(H),), layer.width) if ax else None
@@ -260,7 +277,7 @@ def _stack_slots(lead: tuple, n: int) -> np.ndarray:
     """An empty ``lead + (n, 1)`` stack of 16-byte aligned items, as fresh
     lone vectors are (OpenBLAS's generic dot rounds by alignment): for the
     walk's stacks of points and ``regions._unit_children``'s rows."""
-    return np.empty((*lead, n + n % 2, 1))[..., :n, :]
+    return np.empty((*lead, n + 1, 1))[..., :n, :] if n % 2 else np.empty((*lead, n, 1))
 
 
 def forward(net: Network, x: np.ndarray) -> list[np.ndarray]:
@@ -328,7 +345,8 @@ class AffineMap:
     def _of(cls, matrix: np.ndarray, offset: np.ndarray) -> "AffineMap":
         """Unchecked: for read-only C-contiguous float64 (r, n), (r,) arrays made here."""
         m = object.__new__(cls)
-        m.__dict__.update(matrix=matrix, offset=offset)
+        d = m.__dict__
+        d["matrix"], d["offset"] = matrix, offset
         return m
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -392,7 +410,8 @@ def _layer_step(layer: Layer, states: np.ndarray,
     each item of a stack as it runs the lone product."""
     W, b = _select(layer, states)
     A, c = W @ A, W @ c + b
-    A.flags.writeable = c.flags.writeable = False
+    A.setflags(write=False)
+    c.setflags(write=False)
     return A, c
 
 

@@ -10,6 +10,7 @@ from pwlregions.constructions import (
 )
 from pwlregions.linmap import (
     IdentificationError,
+    _checked_point,
     boundary_clearance,
     enumerate_unit_pieces,
     find_identified_pair,
@@ -120,6 +121,29 @@ def _reference_clearance(net, x):
             if np.linalg.norm(g) > 1e-12:
                 best = min(best, abs(float(g @ x + z)) / float(np.linalg.norm(g)))
     return best
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("net, x, want, norms", [
+    (Network(1, (Layer([[1e160]], [0.0]),)), [0.3], 0.3, [1e160]),
+    # z = 1e100*x0 + x0 + x1 + 5 in layer 1: its boundary is x0 = -5e-100, 0.3 away
+    (Network(2, (Layer([[1e200, 0.0], [1.0, 1.0]], [0.0, 5.0]), Layer([[1e-100, 1.0]], [0.0]))),
+     [0.3, 0.1], 0.3, [1e200, np.sqrt(2.0)]),
+    (Network(1, (Layer([[1e160], [1.0], [-1e160]], [0.0, 0.0, 1.0], maxout(3)),)), [0.3], 0.3,
+     [1e160, 1.0, 1e160]),
+], ids=["rectifier", "two-layers", "maxout3"])
+def test_a_row_whose_squares_overflow_gives_the_true_clearance(net, x, want, norms):
+    # a row norm above ~1.34e154 squared to inf: the clearance was 0.0, with a warning
+    assert boundary_clearance(net, x) == pytest.approx(want, rel=1e-12)
+    assert net.layers[0]._row_norms.tolist() == norms  # the finite rows keep their bits
+
+
+def test_a_deeper_row_whose_squares_overflow_gives_the_true_clearance():
+    # input-space row 1e200 in layer 1, summed per point: found from the result
+    net = Network(1, (Layer([[1e100]], [0.0]), Layer([[1e100]], [-2e199])))
+    with np.errstate(over="ignore"):
+        assert boundary_clearance(net, [0.3]) == pytest.approx(0.1, rel=1e-12)
+        assert boundary_clearance(net, [0.2]) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("act", [ACT_RECTIFIER, maxout(2), maxout(3)])
@@ -291,6 +315,45 @@ def test_a_point_that_is_not_one_finite_n0_vector_is_refused(call, bad):
     # clearance and a zero map, a wrong length numpy's matmul message
     with pytest.raises(ValueError, match=r"must be a finite point of shape \(2,\)"):
         call(random_net(3), bad)
+
+
+def _earlier_checked_point(net, x, name="x"):
+    x = np.asarray(x, float)
+    want = f"{name} must be a finite point of shape ({net.input_dim},)"
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"{want}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{want}, got {x.tolist()}")
+    return x
+
+
+def _checked(check, *args):
+    try:
+        return check(*args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+CHECKED_POINTS = [[0.3, -0.2], [1, 2], [-0.0, 0.0], [[0.3, -0.2]], [[1, 2]], [0.3], [1, 2, 3],
+                  0.3, 7, [], [[0.0], [0.0]], [1e308, -1e308]] + [
+    [v if i == at else 0.5 for i in range(2)] for v in (np.nan, np.inf, -np.inf) for at in (0, 1)]
+
+
+@pytest.mark.parametrize("x", CHECKED_POINTS, ids=[repr(x) for x in CHECKED_POINTS])
+@pytest.mark.parametrize("name", ["x", "x2"])
+def test_the_point_check_accepts_and_words_as_the_earlier_one(x, name):
+    net = random_net(3)
+    assert _checked(_checked_point, net, x, name) == _checked(_earlier_checked_point, net, x, name)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]])
+def test_a_non_finite_point_that_pattern_at_walked_raises_with_the_earlier_words(bad):
+    net = random_net(3, rank=2)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the walk
+        pattern_at(net, bad)
+    with pytest.raises(ValueError) as exc:
+        unit_linear_map(net, 0, 0, bad)
+    assert str(exc.value) == _checked(_earlier_checked_point, net, bad)
 
 
 BAD_SAMPLES = {

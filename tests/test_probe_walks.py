@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlregions import linmap, network
 from pwlregions.constructions import build_abs_net, identification_check, sawtooth_network
@@ -613,6 +615,57 @@ def test_probe_results_equal_the_earlier_functions(name, depth, with_readout):
                 boxes = [tuple((v - half, v + half) for v in p) for p in pair]
                 assert identification_check(net, boxes, probe_count=5, readout=readout) == \
                     ref_identification_check(net, boxes, probe_count=5, readout=readout)
+
+
+def _norms(G):
+    return np.sqrt(np.add.reduce(G * G, axis=1))  # the per-point expression
+
+
+@settings(max_examples=80, deadline=None)
+@given(ranks=st.lists(st.sampled_from([1, 2, 3, 129]), min_size=1, max_size=3),
+       n0=st.integers(1, 3), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_the_clearance_and_its_tables_equal_the_earlier_function_bit_for_bit(
+        ranks, n0, width, seed):
+    """The clearance divides once over all layers and reads a first layer's
+    norms from tables made once per layer; it must equal the earlier
+    function, which divided per layer and summed every norm per point, bit
+    for bit: at -0.0 weights and coordinates, tied branches and maxout
+    ranks 2, 3 and 129 in the first and deeper layers."""
+    rng = np.random.default_rng(seed)
+    layers, fan = [], n0
+    for rank in ranks:
+        W, b = rng.normal(size=(rank * width, fan)), rng.normal(size=rank * width)
+        W[rng.random(size=W.shape) < 0.2] = -0.0
+        if rank > 1:  # unit j's last branch ties its first, in weights or in all
+            for j in range(width):
+                if rng.random() < 0.5:
+                    W[j * rank + rank - 1] = W[j * rank]
+                    if rng.random() < 0.5:
+                        b[j * rank + rank - 1] = b[j * rank]
+        layers.append(Layer(W, b, ACT_RECTIFIER if rank == 1 else maxout(rank)))
+        fan = width
+    net = Network(n0, tuple(layers))
+
+    for layer in net.layers:
+        W, k = layer.weights, layer.activation.rank
+        tables = [layer._row_norms, layer._bias_column]
+        assert layer._row_norms.tobytes() == _norms(W).tobytes()
+        assert layer._bias_column.tobytes() == layer.bias[:, None].tobytes()
+        assert layer._bias_column.shape == (len(W), 1)
+        if k > 1:  # each branch s against every branch of its unit, as the clearance took it
+            tables.append(layer._pair_norms)
+            assert layer._pair_norms.shape == (len(W), k)
+            for s in range(k):
+                pick = layer._branch_rows + s
+                G = np.repeat(W[pick], k, axis=0) - W
+                assert layer._pair_norms[pick].tobytes() == _norms(G).tobytes()
+        assert not any(t.flags.writeable for t in tables)
+
+    X = rng.uniform(-2.0, 2.0, size=(25, n0))
+    X[:8] = rng.choice([-1.0, -0.0, 0.0, 0.5], size=(8, n0))
+    for x in X:
+        got = boundary_clearance(net, x)
+        assert np.float64(got).tobytes() == np.float64(ref_boundary_clearance(net, x)).tobytes()
 
 
 # intp states of a rank-129 layer, then int8 ones: a prefix's states stack as intp
