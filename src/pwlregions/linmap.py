@@ -17,7 +17,8 @@ the pair probe and ``region_map`` all read it.  Entry points take one
 finite point (n0,), or finite samples (m, n0), and raise ``ValueError``
 otherwise.  A point is checked once, when its maps are first composed, so
 a NaN point that ``pattern_at`` walked still raises; a call at the kept
-point compares its shape and float64 bytes only.  The kept maps are
+point compares its shape and float64 bytes only.  ``unit_activation``
+checks its point on every call and reads the walk alone.  The kept maps are
 read-only, and the maps handed out are views of them, not copies.  A
 call's many points walk as one stack, whose items round as lone walks.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,9 +77,9 @@ def _layer_maps(net: Network, x) -> tuple:
 
 
 def unit_activation(net: Network, layer: int, unit: int, x) -> float:
-    """Post-nonlinearity output of one unit at x."""
+    """Post-nonlinearity output of one unit at x, read from x's kept walk."""
     _check_unit(net, layer, unit)
-    return float(_layer_maps(net, x)[layer][2][unit])
+    return float(network._point_steps(net, _checked_point(net, x))[2][layer][2][unit])
 
 
 def unit_linear_map(net: Network, layer: int, unit: int, x) -> AffineMap:
@@ -140,6 +142,13 @@ def _check_unit(net: Network, layer: int, unit: int,
         raise IndexError(f"readout row {unit} out of range")
 
 
+@lru_cache(maxsize=8)
+def _shifts(n0: int, step: float) -> np.ndarray:
+    """A central difference's read-only shifts [step I; -step I], made once per (n0, step)."""
+    E = network._origin(n0, step)[0]
+    return network._freeze(np.vstack([E, -E]), 2)
+
+
 def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.ndarray:
     """Central-difference gradient of the unit's activation at x.
 
@@ -148,9 +157,8 @@ def finite_difference_gradient(net: Network, layer: int, unit: int, x) -> np.nda
     _check_unit(net, layer, unit)
     x = _checked_point(net, x)
     n, step = len(x), 1e-6
-    E, Y = network._origin(n, step)[0], _stack_slots((2 * n,), n)
-    np.add(x, E, out=Y[:n, :, 0])
-    np.subtract(x, E, out=Y[n:, :, 0])
+    Y = _stack_slots((2 * n,), n)
+    np.add(x, _shifts(n, step), out=Y[..., 0])  # x + (-e) is x - e, bit for bit
     H = next(itertools.islice(_walk(net, Y, states=False), layer, None))[2]
     return (H[:n, unit, 0] - H[n:, unit, 0]) / (2.0 * step)
 
@@ -159,26 +167,34 @@ def boundary_clearance(net: Network, x) -> float:
     """Distance from x to the nearest activation boundary, measured with
     input-space unit normals.  Infinite when no unit ever switches.
 
-    Reads x's kept layer maps: the pre-activations, the states and the
-    linear part below each layer.  First-layer norms are made once per
-    layer; rows whose squares overflow are normed scaled (``network._norms``)."""
-    zs, rows, norms, maps = [], [], [], _layer_maps(net, x)
-    for i, (layer, (z, s, *_)) in enumerate(zip(net.layers, maps)):
+    Reads x's kept layer maps: pre-activations, states, activations (a
+    maxout unit's is its branches' maximum, from which its gaps are taken)
+    and the linear part below each layer.  First-layer norms are made once
+    per layer; rows whose squares overflow are normed scaled (``network._norms``)."""
+    zs, rows, norms, A = [], [], [], None  # A: the linear part below the layer
+    for layer, (z, s, h, next_A, _) in zip(net.layers, _layer_maps(net, x)):
         k = layer.activation.rank
-        pick = layer._branch_rows + s if k > 1 else None  # the selected branch per unit
-        if i == 0:
+        if k > 1:
+            pick = layer._branch_rows + s  # the selected branch per unit
+            z = (h[:, None] - z.reshape(-1, k)).ravel()
+        if A is None:
             norms.append(layer._row_norms if k == 1 else layer._pair_norms.take(pick, 0).ravel())
         else:
-            G = layer.weights @ maps[i - 1][3]  # input-space rows
-            rows.append(G if k == 1 else np.repeat(G[pick], k, axis=0) - G)
-            norms.append(np.sqrt(np.add.reduce(rows[-1] * rows[-1], axis=1)))
-        zs.append(z if k == 1 else np.repeat(z[pick], k) - z)
-    z = np.abs(np.concatenate(zs))
-    def nearest(n):  # a norm <= 1e-12: inf, its quotient not taken
-        return float(np.divide(z, n, out=np.full(len(z), np.inf), where=n > 1e-12).min())
-    best = nearest(np.concatenate(norms))
+            G = layer.weights @ A  # input-space rows
+            if k > 1:  # each unit's selected row less each of its branch rows
+                G = (G.take(pick, 0)[:, None] - G.reshape(len(pick), k, -1)).reshape(len(G), -1)
+            rows.append(G)
+            norms.append(np.sqrt(np.add.reduce(G * G, axis=1)))
+        zs.append(z)
+        A = next_A
+    z, n = np.abs(np.concatenate(zs)), np.concatenate(norms)
+    q = np.empty(len(z))
+    q.fill(np.inf)  # a norm <= 1e-12: inf, its quotient not taken
+    best = float(np.minimum.reduce(np.divide(z, n, out=q, where=n > 1e-12)))
     if not best > 0.0 and rows:  # 0 or NaN: maybe a deeper row's squares overflowed
-        best = nearest(np.concatenate(norms[:1] + [network._norms(G) for G in rows]))
+        # only an infinite norm changes, so the mask and the untaken quotients stay
+        n = np.concatenate(norms[:1] + [network._norms(G) for G in rows])
+        best = float(np.minimum.reduce(np.divide(z, n, out=q, where=n > 1e-12)))
     return best
 
 

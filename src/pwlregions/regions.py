@@ -629,24 +629,28 @@ def region_polygons_2d(rs: RegionSet) -> list[np.ndarray]:
     ``rs.regions``: the carried vertices, counterclockwise around the
     witness, each re-solved from the first non-parallel pair of its tight
     rows in row order, so its bits do not depend on the order of the clips
-    that found it.  A region without vertices gets an empty polygon."""
+    that found it.  A region without vertices gets an empty polygon.  All
+    vertices solve as one stack, each item as its lone solve."""
     if rs.regions and rs.regions[0].normals.shape[1] != 2:
         raise ValueError("polygon extraction is 2-d only")
-    polys = []
+    rows, counts = [], []  # per vertex its pair's rows and offsets; per region its count
     for region in rs.regions:
-        N, o = region.normals, region.offsets
-        pts = []
+        N, o, pairs = region.normals.tolist(), region.offsets.tolist(), []
         for mask in region.tight or ():
-            rows = [i for i in range(len(o)) if mask >> i & 1]
-            for i, j in itertools.combinations(rows, 2):
-                A = np.array([N[i], N[j]])
-                if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) >= 1e-12:
-                    pts.append(np.linalg.solve(A, np.array([o[i], o[j]])))
+            tight = []
+            while mask:  # the set bits, lowest first
+                tight.append((mask & -mask).bit_length() - 1)
+                mask &= mask - 1
+            for i, j in itertools.combinations(tight, 2):
+                (a, b), (c, d) = N[i], N[j]
+                if abs(a * d - b * c) >= 1e-12:
+                    pairs.append((a, b, c, d, o[i], o[j]))
                     break
-        if len(pts) < 3:
-            polys.append(np.zeros((0, 2)))
-            continue
-        arr = np.array(pts)
-        ang = np.arctan2(arr[:, 1] - region.witness[1], arr[:, 0] - region.witness[0])
-        polys.append(arr[np.argsort(ang)])
-    return polys
+        counts.append(len(pairs) if len(pairs) >= 3 else 0)
+        rows += pairs[:counts[-1]]
+    M = np.array(rows).reshape(-1, 6)
+    V = np.linalg.solve(M[:, :4].reshape(-1, 2, 2), M[:, 4:, None])[..., 0]
+    W = np.repeat(np.reshape([r.witness for r in rs.regions], (-1, 2)), counts, axis=0)
+    ang = np.arctan2(V[:, 1] - W[:, 1], V[:, 0] - W[:, 0])
+    return [V[e - n:e][np.argsort(ang[e - n:e])] if n else np.zeros((0, 2))
+            for n, e in zip(counts, itertools.accumulate(counts))]

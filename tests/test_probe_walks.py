@@ -130,6 +130,23 @@ def test_every_unit_map_and_activation_and_the_clearance_cost_one_walk(walks, st
     assert steps[0] == net.depth
 
 
+@pytest.mark.parametrize("first", ["fresh", "pattern_at", "unit_linear_map"])
+def test_unit_activation_reads_the_walk_and_composes_no_map(walks, steps, first):
+    # a fresh point, one walked by pattern_at, and one whose maps are kept
+    net = _random_net(np.random.default_rng(3), (maxout(3), ACT_RECTIFIER), (3, 2))
+    x = np.array([0.2, -0.6])
+    if first == "pattern_at":
+        pattern_at(net, x)
+    elif first == "unit_linear_map":
+        unit_linear_map(net, 1, 0, x)
+    composed = steps[0]
+    got = [[unit_activation(net, layer, unit, x) for unit in range(net.layers[layer].width)]
+           for layer in range(net.depth)]
+    assert steps[0] == composed  # net.depth after unit_linear_map, else none
+    assert walks[0] == 1
+    assert got == [H.tolist() for H in forward(net, x)]
+
+
 def test_a_non_finite_point_walked_by_pattern_at_still_raises(walks):
     net = _random_net(np.random.default_rng(13), maxout(2), (3, 2))
     for bad in ([np.nan, 0.5], [0.5, -np.inf]):

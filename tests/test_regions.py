@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -867,6 +868,76 @@ def test_polygons_tile_the_box(name):
     (x0, x1), (y0, y1) = rs.box
     area = sum(polygon_area(p) for p in region_polygons_2d(rs))
     assert area == pytest.approx((x1 - x0) * (y1 - y0), rel=1e-9)
+
+
+def ref_region_polygons_2d(rs):
+    """The earlier function: every row index scanned per mask, one solve
+    per vertex and one arctan2 per region."""
+    polys = []
+    for region in rs.regions:
+        N, o = region.normals, region.offsets
+        pts = []
+        for mask in region.tight or ():
+            rows = [i for i in range(len(o)) if mask >> i & 1]
+            for i, j in itertools.combinations(rows, 2):
+                A = np.array([N[i], N[j]])
+                if abs(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) >= 1e-12:
+                    pts.append(np.linalg.solve(A, np.array([o[i], o[j]])))
+                    break
+        if len(pts) < 3:
+            polys.append(np.zeros((0, 2)))
+            continue
+        arr = np.array(pts)
+        ang = np.arctan2(arr[:, 1] - region.witness[1], arr[:, 0] - region.witness[0])
+        polys.append(arr[np.argsort(ang)])
+    return polys
+
+
+def _polygon_bytes(polygons):
+    return [(p.shape, p.dtype, p.tobytes()) for p in polygons]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("name", sorted(WITNESSES_2D))
+def test_polygons_equal_the_per_vertex_solves_on_the_witnesses(name, exact):
+    """All vertices solve as one stack: each polygon must be the earlier
+    function's, byte for byte, on every 2-d witness."""
+    rs = enumerate_regions(*_witness_cfg(WITNESSES_2D[name](), exact=exact))
+    assert _polygon_bytes(region_polygons_2d(rs)) == _polygon_bytes(ref_region_polygons_2d(rs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 5), parallel=st.booleans(),
+       concurrent=st.booleans(), deeper_rank=st.sampled_from([0, 1, 2]),
+       thin=st.sampled_from([1e-3, 0.05, 1.0]), exact=st.booleans())
+def test_polygons_equal_the_per_vertex_solves_at_parallel_and_concurrent_rows(
+        seed, width, parallel, concurrent, deeper_rank, thin, exact):
+    """Small integer first-layer rows make parallel pairs; offsets through
+    one point make three or more rows tight at a vertex; a thin box makes
+    near-degenerate cells.  The enumerator keeps no two parallel rows tight
+    at one vertex, so each region's first row is also doubled by hand,
+    which makes the first pair of its vertices parallel and skipped."""
+    rng = np.random.default_rng(seed)
+    W = rng.integers(-3, 4, size=(width, 2)).astype(float)
+    W[~W.any(axis=1)] = (1.0, -2.0)  # no zero row
+    if parallel:
+        W[1] = -2.0 * W[0]
+    b = -(W @ [0.5, -0.25]) if concurrent else rng.normal(size=width)
+    layers = [Layer(W, b)]
+    if deeper_rank:  # a second layer of two units
+        k = deeper_rank
+        layers.append(Layer(rng.normal(size=(2 * k, width)), rng.normal(size=2 * k),
+                            ACT_RECTIFIER if k == 1 else maxout(k)))
+    box = ((-1.0, 1.0), (-0.25 - thin, -0.25 + thin))
+    rs = enumerate_regions(Network(2, tuple(layers)),
+                           FeasibilityConfig(box=box, exact_rational=exact))
+    doubled = RegionSet(tuple(dataclasses.replace(
+        r, normals=np.vstack([r.normals[:1], r.normals]),
+        offsets=np.concatenate([r.offsets[:1], r.offsets]),
+        tight=r.tight and [m << 1 | m & 1 for m in r.tight]) for r in rs.regions), rs.box)
+    for case in (rs, doubled):
+        assert _polygon_bytes(region_polygons_2d(case)) == \
+            _polygon_bytes(ref_region_polygons_2d(case))
 
 
 def test_drift_check_scales_with_magnitude():
